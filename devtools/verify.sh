@@ -124,6 +124,17 @@ case "$out" in
 esac
 echo "   ok: chaos run terminated, accounting conserved, injection armed"
 
+# End-to-end smoke: the four benchmark workloads through the service,
+# untraced and traced, 2 s windows, every answer checked against the
+# reference — a wrong answer on the service path fails verification.
+echo "== end-to-end smoke (four workloads through the service, answers checked) =="
+if ! out=$(dune build @e2ebench/bench-smoke 2>&1); then
+  echo "end-to-end smoke failed:" >&2
+  echo "$out" >&2
+  exit 1
+fi
+echo "   ok: 4 workloads x untraced/traced, every answer correct"
+
 # Morsel smoke: the parallel engine's shared-queue scheduler driven at a
 # deliberately tiny morsel size — thousands of work units per query.
 # Rows must be byte-identical across repeated runs (results reassemble

@@ -6,6 +6,7 @@ type table = {
   name : string;
   schema : Schema.t;
   rows : Value.t list;
+  nrows : int;  (** counted once here, so [row_count] never walks [rows] *)
   boxed : Value.t array Lazy.t;
   flat : Lq_storage.Rowstore.t Lazy.t;
   columns : Lq_storage.Colstore.t Lazy.t;
@@ -45,11 +46,13 @@ let schema_is_flat schema =
     (Schema.fields schema)
 
 let make_table t ~name ~schema rows =
+  let nrows = List.length rows in
   let rec table =
     {
       name;
       schema;
       rows;
+      nrows;
       boxed = lazy (Array.of_list rows);
       flat =
         lazy
@@ -60,7 +63,7 @@ let make_table t ~name ~schema rows =
       columns = lazy (Lq_storage.Colstore.of_rowstore (Lazy.force table.flat));
       heap_addrs =
         lazy
-          (Lq_cachesim.Heap_model.alloc_rows t.heap ~nrows:(List.length rows)
+          (Lq_cachesim.Heap_model.alloc_rows t.heap ~nrows
              ~nfields:(Schema.arity schema));
       force_mu = Mutex.create ();
       indexes = Hashtbl.create 4;
@@ -106,7 +109,7 @@ let force_store table l =
   Fun.protect ~finally:(fun () -> Mutex.unlock table.force_mu) (fun () -> Lazy.force l)
 
 let boxed table = force_store table table.boxed
-let row_count table = List.length table.rows
+let row_count table = table.nrows
 let is_flat table = schema_is_flat table.schema
 
 let store table = force_store table table.flat

@@ -60,6 +60,8 @@ val name : table -> string
 val rows : table -> Value.t list
 val boxed : table -> Value.t array
 val row_count : table -> int
+(** O(1): counted once when the table is built ({!add}/{!replace}), so
+    plan lowering reads it without touching the rows. *)
 
 val is_flat : table -> bool
 val store : table -> Lq_storage.Rowstore.t

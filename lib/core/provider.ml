@@ -3,6 +3,7 @@ module Shape = Lq_expr.Shape
 module Catalog = Lq_catalog.Catalog
 module Engine_intf = Lq_catalog.Engine_intf
 module Trace = Lq_trace.Trace
+module Value = Lq_value.Value
 
 type t = {
   cat : Catalog.t;
@@ -37,96 +38,111 @@ let cache_counters t = Query_cache.counters t.cache
 let clear_cache t = Query_cache.clear t.cache
 let optimized t q = Optimizer.run ~options:t.optimizer q
 
-let decorrelated t q =
-  Lq_plan.Decorrelate.notes_of_query (optimized t q) <> []
+(* The request front end: canonicalize + optimize, replace constants by
+   parameters, lower to the shared physical plan, key it on the plan's
+   shape. Its cost is set by the query's plan, not by the data: lowering
+   reads only O(1) catalog statistics. A service request builds it once
+   and every attempt, retry and fallback hop reuses it. [checkpoint] is
+   called at each stage boundary with the stage just finished; raising
+   from it aborts the pipeline (the service layer's cooperative deadline
+   cancellation). *)
+type front_end = {
+  optimized : Ast.query;
+  parameterized : Ast.query;
+  bindings : (string * Value.t) list;
+  shape : string;
+  features : Lq_plan.Plan.features;
+  notes : string list;
+  tables : string list;
+}
 
-(* Canonicalize + optimize, lower to the shared physical plan, then key
-   the cache on the plan's shape; compiled plans always see parameters
-   where the query had constants, so a cached plan can be re-run with new
-   values. The engine's declared capabilities are checked against the plan
-   *before* any code generation is paid. [checkpoint] is called at each
-   stage boundary with the stage just finished; raising from it aborts the
-   pipeline (the service layer's cooperative deadline cancellation). *)
-let prepare_internal t ~(engine : Engine_intf.t) ?instr ?(checkpoint = fun _ -> ()) q =
+(* Anything unclassified escaping a pipeline stage before execution is a
+   code-generation failure — structurally distinct from an execution
+   failure, and the breaker/retry policy above treats them differently. *)
+let classified stage f =
+  try f () with
+  | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
+  | exn ->
+    raise (Lq_fault.Fault (Lq_fault.classify ~stage ~default:Lq_fault.Codegen_error exn))
+
+let front_end t ?(checkpoint = fun _ -> ()) q =
   let q =
     Trace.with_span Trace.Optimize "optimize" (fun () ->
         Lq_fault.Inject.hit "provider/optimize";
-        try optimized t q with
-        | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
-        | exn ->
-          raise
-            (Lq_fault.Fault
-               (Lq_fault.classify ~stage:"optimize" ~default:Lq_fault.Codegen_error exn)))
+        classified "optimize" (fun () -> optimized t q))
   in
   checkpoint "optimized";
-  let consts = Shape.consts q in
-  let parameterized, _bindings = Shape.parameterize q in
+  let parameterized, bindings = Shape.parameterize q in
   let plan =
     Trace.with_span Trace.Lower "lower" (fun () ->
         Lq_fault.Inject.hit "provider/lower";
-        try Lq_plan.Lower.lower t.cat parameterized with
-        | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
-        | exn ->
-          raise
-            (Lq_fault.Fault
-               (Lq_fault.classify ~stage:"lower" ~default:Lq_fault.Codegen_error exn)))
+        classified "lower" (fun () -> Lq_plan.Lower.lower t.cat parameterized))
   in
-  (match Lq_plan.Plan.check engine.Engine_intf.caps plan with
+  checkpoint "planned";
+  (* The plan itself is not kept: engines lower the parameterized query
+     again when they compile, and routing needs only its features. *)
+  {
+    optimized = q;
+    parameterized;
+    bindings;
+    shape = Lq_plan.Plan.shape_key plan;
+    features = Lq_plan.Plan.features plan;
+    notes = Lq_plan.Decorrelate.notes_of_query q;
+    tables = Ast.sources_of_query q;
+  }
+
+let supports front ~(engine : Engine_intf.t) =
+  Lq_plan.Plan.check engine.Engine_intf.caps front.features
+
+(* Compiled plans always see parameters where the query had constants, so
+   a cached plan can be re-run with new values. The engine's declared
+   capabilities are checked against the plan *before* any code generation
+   is paid. *)
+let prepare_internal t ~(engine : Engine_intf.t) ?instr ?(checkpoint = fun _ -> ()) ?front q =
+  let front = match front with Some f -> f | None -> front_end t ~checkpoint q in
+  (match supports front ~engine with
   | Ok () -> ()
   | Error msg -> raise (Engine_intf.Unsupported msg));
-  checkpoint "planned";
-  let shape = Lq_plan.Plan.shape_key plan in
-  (* Anything unclassified escaping an engine's plan builder is a
-     code-generation failure — structurally distinct from an execution
-     failure, and the breaker/retry policy above treats them differently. *)
   let compile () =
     (* The codegen span lives inside the cache-lookup span, so a cache
        hit structurally cannot contain one — an invariant the trace test
        suite checks. *)
     Trace.with_span Trace.Codegen engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/prepare";
-        try engine.Engine_intf.prepare ?instr t.cat parameterized with
-        | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
-        | exn ->
-          raise
-            (Lq_fault.Fault
-               (Lq_fault.classify ~stage:"prepare" ~default:Lq_fault.Codegen_error exn)))
+        classified "prepare" (fun () ->
+            engine.Engine_intf.prepare ?instr t.cat front.parameterized))
   in
   let prepared, outcome =
     if t.use_cache && instr = None then
       Trace.with_span Trace.Cache_lookup "query-cache" (fun () ->
           let prepared, outcome =
-            Query_cache.find_or_compile t.cache ~engine:engine.Engine_intf.name ~shape
-              ~tables:(Ast.sources_of_query q) ~compile ()
+            Query_cache.find_or_compile t.cache ~engine:engine.Engine_intf.name
+              ~shape:front.shape ~tables:front.tables ~compile ()
           in
           Trace.span_attr "outcome" (match outcome with `Hit -> "hit" | `Miss -> "miss");
           (prepared, outcome))
     else (compile (), `Miss)
   in
   checkpoint "prepared";
-  (prepared, outcome, shape, consts)
+  (prepared, outcome, front)
 
-(* Plan inspection: the lowered plan and the engine's capability verdict,
-   with no code generation. [explain] lowers the *unparameterized* query so
-   the rendering shows real constants; the verdict is constant-blind. *)
-let plan_check t ~(engine : Engine_intf.t) q =
-  let q = optimized t q in
-  let parameterized, _ = Shape.parameterize q in
-  Lq_plan.Plan.check engine.Engine_intf.caps (Lq_plan.Lower.lower t.cat parameterized)
+let plan_check t ~engine q = supports (front_end t q) ~engine
 
-let explain t ~(engine : Engine_intf.t) q =
-  let q = optimized t q in
-  let plan = Lq_plan.Lower.lower t.cat q in
-  let notes = Lq_plan.Decorrelate.notes_of_query q in
-  (Lq_plan.Plan.explain ~notes plan, Lq_plan.Plan.check engine.Engine_intf.caps plan)
+(* [explain] lowers the *unparameterized* query so the rendering shows
+   real constants (and the row estimates they imply); the verdict is
+   constant-blind. *)
+let explain t ~engine q =
+  let front = front_end t q in
+  ( Lq_plan.Plan.explain ~notes:front.notes (Lq_plan.Lower.lower t.cat front.optimized),
+    supports front ~engine )
 
 let prepare_only t ~engine q =
-  let prepared, outcome, _, _ = prepare_internal t ~engine q in
+  let prepared, outcome, _ = prepare_internal t ~engine q in
   (prepared, outcome)
 
-let run t ~engine ?(params = []) ?profile ?checkpoint q =
-  let prepared, _, shape, consts = prepare_internal t ~engine ?checkpoint q in
-  let all_params = params @ Query_cache.const_params consts in
+let run t ~engine ?(params = []) ?profile ?checkpoint ?front q =
+  let prepared, _, front = prepare_internal t ~engine ?checkpoint ?front q in
+  let all_params = params @ front.bindings in
   let execute () =
     Trace.with_span Trace.Execute engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/execute";
@@ -151,7 +167,10 @@ let run t ~engine ?(params = []) ?profile ?checkpoint q =
     (* Result recycling (§9): identical invocations return the
        materialized rows without executing. *)
     Lq_fault.Inject.hit "cache/result";
-    let key = Result_cache.key ~engine:engine.Engine_intf.name ~shape ~consts ~params in
+    let key =
+      Result_cache.key ~engine:engine.Engine_intf.name ~shape:front.shape
+        ~consts:(List.map snd front.bindings) ~params
+    in
     let cached =
       Trace.with_span Trace.Cache_lookup "result-cache" (fun () ->
           let found = Result_cache.find rc key in
@@ -162,7 +181,7 @@ let run t ~engine ?(params = []) ?profile ?checkpoint q =
     | Some rows -> rows
     | None ->
       let rows = execute () in
-      Result_cache.store rc key ~tables:(Ast.sources_of_query q) rows;
+      Result_cache.store rc key ~tables:front.tables rows;
       rows)
 
 let result_cache_stats t = Option.map Result_cache.stats t.results
@@ -217,9 +236,8 @@ let report t =
 
 let run_instrumented t ~engine ?(params = []) hierarchy q =
   let instr = Lq_catalog.Instr.of_hierarchy hierarchy in
-  let prepared, _, _, consts = prepare_internal t ~engine ~instr q in
-  let params = params @ Query_cache.const_params consts in
-  prepared.Engine_intf.execute ~params ()
+  let prepared, _, front = prepare_internal t ~engine ~instr q in
+  prepared.Engine_intf.execute ~params:(params @ front.bindings) ()
 
 let reference t ?(params = []) q =
   Lq_expr.Eval.run (Catalog.eval_ctx t.cat ~params) q

@@ -62,21 +62,51 @@ val clear_result_cache : t -> unit
     {!Lq_catalog.Catalog.replace} invalidate automatically; this is the
     big hammer for out-of-band changes. *)
 
+type front_end = private {
+  optimized : Lq_expr.Ast.query;  (** after canonicalization and rewrites *)
+  parameterized : Lq_expr.Ast.query;  (** every constant a [Param "__c<i>"] *)
+  bindings : (string * Value.t) list;  (** ["__c<i>"] to its constant *)
+  shape : string;  (** the lowered plan's {!Lq_plan.Plan.shape_key} *)
+  features : Lq_plan.Plan.features;  (** what the capability check reads *)
+  notes : string list;  (** decorrelation notes; [[]] when nothing was rewritten *)
+  tables : string list;  (** source tables, for cache invalidation *)
+}
+(** The request front end: everything between the submitted query and an
+    engine that does not depend on the engine. Building it costs time set
+    by the query's plan, not by the tables' sizes. *)
+
+val front_end : t -> ?checkpoint:(string -> unit) -> Lq_expr.Ast.query -> front_end
+(** Optimize, parameterize, lower and key the query, under the
+    ["provider/optimize"] and ["provider/lower"] injection points and
+    their trace spans. Failures are raised as typed {!Lq_fault.Fault}s.
+    [checkpoint] is invoked with ["optimized"], then ["planned"]. *)
+
+val supports : front_end -> engine:Lq_catalog.Engine_intf.t -> (unit, string) result
+(** The engine's capability verdict on the lowered plan: [Error reason]
+    means preparation is guaranteed to raise
+    {!Lq_catalog.Engine_intf.Unsupported}. *)
+
 val run :
   t ->
   engine:Lq_catalog.Engine_intf.t ->
   ?params:(string * Value.t) list ->
   ?profile:Lq_metrics.Profile.t ->
   ?checkpoint:(string -> unit) ->
+  ?front:front_end ->
   Lq_expr.Ast.query ->
   Value.t list
-(** Full pipeline: canonicalize, optimize, hit or fill the cache, execute.
+(** Full pipeline: the front end, hit or fill the cache, execute.
+
+    [front], when given, must be [front_end t q] for this same query; the
+    run then skips straight to the capability check and the caches. The
+    service builds it once per request and passes it to every attempt.
 
     [checkpoint] (default: no-op) is invoked at each stage boundary with
-    the stage just completed — ["optimized"], then ["prepared"] — before
-    execution begins. Raising from it aborts the run; the service layer
-    uses this for cooperative deadline cancellation between pipeline
-    stages.
+    the stage just completed — ["optimized"], ["planned"], then
+    ["prepared"] — before execution begins (the first two only when the
+    run builds its own front end). Raising from it aborts the run; the
+    service layer uses this for cooperative deadline cancellation between
+    pipeline stages.
 
     @raise Lq_catalog.Engine_intf.Unsupported when the engine refuses the
     query. *)
@@ -103,10 +133,8 @@ val plan_check :
   engine:Lq_catalog.Engine_intf.t ->
   Lq_expr.Ast.query ->
   (unit, string) result
-(** The engine's capability verdict on the lowered plan, with no code
-    generation: [Error reason] means preparation is guaranteed to raise
-    {!Lq_catalog.Engine_intf.Unsupported}. The service layer uses this to
-    route around an engine before paying codegen. *)
+(** [supports (front_end t q) ~engine]: the capability verdict with no
+    code generation. *)
 
 val explain :
   t ->
@@ -122,8 +150,3 @@ val reference : t -> ?params:(string * Value.t) list -> Lq_expr.Ast.query -> Val
 
 val optimized : t -> Lq_expr.Ast.query -> Lq_expr.Ast.query
 (** The query after canonicalization and rewrites (for inspection). *)
-
-val decorrelated : t -> Lq_expr.Ast.query -> bool
-(** Whether the optimizer's decorrelation pass rewrote a correlated
-    sub-query in [q] — i.e. a query the compiled engines would have
-    refused wholesale before the rewrite. Routing observability only. *)

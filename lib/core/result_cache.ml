@@ -32,24 +32,13 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* The values are marshalled, not printed: the encoding keeps each
+   constructor tag and every float's bits, so [Int 1] and [Float 1.0], or
+   two floats [Value.to_string] rounds alike, never share an entry. *)
 let key ~engine ~shape ~consts ~params =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf engine;
-  Buffer.add_char buf '\000';
-  Buffer.add_string buf shape;
-  List.iter
-    (fun v ->
-      Buffer.add_char buf '\000';
-      Buffer.add_string buf (Value.to_string v))
-    consts;
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_char buf '\001';
-      Buffer.add_string buf name;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf (Value.to_string v))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) params);
-  Buffer.contents buf
+  let params = List.sort (fun (a, _) (b, _) -> String.compare a b) params in
+  String.concat "\000"
+    [ engine; shape; Marshal.to_string (consts, params) [ Marshal.No_sharing ] ]
 
 let find t key =
   locked t (fun () ->

@@ -40,7 +40,9 @@ val key :
   consts:Value.t list ->
   params:(string * Value.t) list ->
   string
-(** Canonical cache key for one execution. *)
+(** Canonical cache key for one execution. Constants and parameter
+    values are encoded exactly and with their type, so two executions
+    share a key only when every value is identical. *)
 
 val find : t -> string -> Value.t list option
 (** Counts a hit or a miss on every call. *)

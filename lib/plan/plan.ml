@@ -270,8 +270,7 @@ let features (p : t) : features =
     nonflat_source = !nonflat_source;
   }
 
-let check (caps : Engine_intf.caps) (p : t) : (unit, string) result =
-  let f = features p in
+let check (caps : Engine_intf.caps) (f : features) : (unit, string) result =
   if f.correlated && not caps.Engine_intf.supports_correlated then
     Error "correlated sub-query (engine requires a decorrelated plan)"
   else if f.subquery && not caps.Engine_intf.supports_subqueries then

@@ -151,10 +151,27 @@ let process t ((req, fut) : job) =
   | () ->
     in_request_context @@ fun () ->
     let checkpoint stage = Deadline.check ~stage req.Request.deadline in
+    (* The request front end (optimize, parameterize, lower, shape key) is
+       built once, inside the first attempt, so its faults are classified,
+       retried, counted by the breaker and sent down the fallback ladder
+       like any other attempt failure. Only a built front end is kept:
+       every later attempt, retry and fallback hop reuses it. *)
+    let front = ref None in
+    let front_end () =
+      match !front with
+      | Some f -> f
+      | None ->
+        let f = Provider.front_end t.provider ~checkpoint req.Request.query in
+        if f.Provider.notes <> [] then Svc_metrics.note_decorrelated t.metrics;
+        front := Some f;
+        f
+    in
     (* One engine attempt, retried with bounded decorrelated-jitter
        backoff while the classified fault stays [Transient] and the
        deadline can still afford the sleep. The per-request governor
-       budget is ambient for the whole attempt. *)
+       budget is ambient for the whole attempt. The plan-level
+       capability check routes around an engine that is guaranteed to
+       refuse the query *before* any code generation is paid. *)
     let attempt (engine : Engine_intf.t) =
       let rng = lazy (Lq_exec.Prng.create (0x5eed + req.Request.id)) in
       let rec go attempt_no prev_sleep =
@@ -171,14 +188,22 @@ let process t ((req, fut) : job) =
             Trace.Retry_attempt "attempt"
             (fun () ->
               Governor.with_budget t.config.budget (fun () ->
-                  Provider.run t.provider ~engine ?profile:scratch
-                    ~params:req.Request.params ~checkpoint req.Request.query))
+                  let front = front_end () in
+                  match Provider.supports front ~engine with
+                  | Error _ as refused -> refused
+                  | Ok () ->
+                    Ok
+                      (Provider.run t.provider ~engine ?profile:scratch
+                         ~params:req.Request.params ~checkpoint ~front req.Request.query)))
         with
-        | rows ->
+        | Ok rows ->
           (match (req.Request.profile, scratch) with
           | Some p, Some s -> Profile.merge s ~into:p
           | _ -> ());
           Ok rows
+        | Error reason ->
+          Svc_metrics.note_unsupported t.metrics;
+          Error (Lq_fault.make ~stage:"plan" Lq_fault.Unsupported reason)
         | exception (Deadline.Expired _ as e) -> raise e
         | exception exn ->
           let fault =
@@ -281,32 +306,13 @@ let process t ((req, fut) : job) =
         resolve
           (Request.Failed { engine = req.Request.engine.Engine_intf.name; fault })
     in
-    (* The plan-level capability check routes around an engine that is
-       guaranteed to refuse the query *before* any code generation is
-       paid; analysis hiccups fall through to the normal attempt. *)
-    (match Provider.decorrelated t.provider req.Request.query with
-    | true -> Svc_metrics.note_decorrelated t.metrics
-    | false -> ()
-    | exception _ -> ());
-    let verdict =
-      match
-        Provider.plan_check t.provider ~engine:req.Request.engine req.Request.query
-      with
-      | v -> v
-      | exception _ -> Ok ()
-    in
-    match verdict with
-    | Error reason ->
-      Svc_metrics.note_unsupported t.metrics;
-      fall_back ~fault:(Lq_fault.make ~stage:"plan" Lq_fault.Unsupported reason)
-    | Ok () -> (
-      match attempt_guarded req.Request.engine with
-      | Ok rows ->
-        resolve
-          (Request.Completed
-             { rows; engine = req.Request.engine.Engine_intf.name; degraded = false })
-      | Error fault -> fall_back ~fault
-      | exception Deadline.Expired stage -> resolve (Request.Timed_out { stage }))
+    match attempt_guarded req.Request.engine with
+    | Ok rows ->
+      resolve
+        (Request.Completed
+           { rows; engine = req.Request.engine.Engine_intf.name; degraded = false })
+    | Error fault -> fall_back ~fault
+    | exception Deadline.Expired stage -> resolve (Request.Timed_out { stage })
 
 let rec worker_loop t =
   match Request_queue.pop t.queue with

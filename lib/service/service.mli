@@ -10,6 +10,8 @@
             N worker Domains (supervised: crash ⇒ typed failure + respawn)
                     │
                     ▼ breaker admit?  ── open: fast-fail, skip codegen ──┐
+            front end (built once per request, then reused)         │
+            capability check ── refused: no codegen ───────────────▶│
             Provider.run under governor budget, deadline checkpoints    │
                     │ Transient: retry with jittered backoff            │
                     │ engine fault ──────────────────────────────────▶  ▼

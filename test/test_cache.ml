@@ -211,6 +211,30 @@ let test_result_cache_exact_counters () =
   check_int "cleared entries" 0 stats.Result_cache.entries;
   check_int "cleared hits" 0 stats.Result_cache.hits
 
+(* Two executions may share a recycled result only when every constant
+   and parameter is identical, type included: a key that printed values
+   with 6 significant digits and no type would let 1234567. answer for
+   1234568. and [Int 1] for [Float 1.0]. *)
+let test_result_cache_keys_exact () =
+  let schema = Schema.make [ ("id", Vtype.Int) ] in
+  let cat = Lq_catalog.Catalog.create () in
+  Lq_catalog.Catalog.add cat ~name:"t" ~schema [ Schema.row schema [ Value.Int 0 ] ];
+  let prov = Provider.create ~recycle_results:true cat in
+  let run ?params q = Provider.run prov ~engine:Lq_core.Engines.linq_to_objects ?params q in
+  let const x = source "t" |> select "s" (float x) in
+  check_bool "first float" true (run (const 1234567.) = [ Value.Float 1234567. ]);
+  check_bool "nearby float is not a hit" true (run (const 1234568.) = [ Value.Float 1234568. ]);
+  let param = source "t" |> select "s" (p "x") in
+  check_bool "int param" true (run ~params:[ ("x", Value.Int 1) ] param = [ Value.Int 1 ]);
+  check_bool "float param keeps its type" true
+    (run ~params:[ ("x", Value.Float 1.0) ] param = [ Value.Float 1.0 ]);
+  let stats = Option.get (Provider.result_cache_stats prov) in
+  check_int "no false hits" 0 stats.Result_cache.hits;
+  check_int "four entries" 4 stats.Result_cache.entries;
+  check_bool "a repeat still hits" true
+    (run ~params:[ ("x", Value.Float 1.0) ] param = [ Value.Float 1.0 ]);
+  check_int "one hit" 1 (Option.get (Provider.result_cache_stats prov)).Result_cache.hits
+
 (* --- catalog-driven invalidation through the provider --- *)
 
 let test_catalog_invalidation_hook () =
@@ -235,6 +259,35 @@ let test_catalog_invalidation_hook () =
   check_int "u untouched" 2 (List.length (Provider.run prov ~engine q_u));
   let stats = Option.get (Provider.result_cache_stats prov) in
   check_int "u's entry survived (hit)" 1 stats.Result_cache.hits
+
+(* [row_count] is counted when a table is built, not on every call: a
+   replacement with more or fewer rows must show through both the count
+   and the scan estimate lowering derives from it. *)
+let test_row_count_follows_replace () =
+  let schema = Schema.make [ ("id", Vtype.Int) ] in
+  let mk n = List.init n (fun i -> Schema.row schema [ Value.Int i ]) in
+  let cat = Lq_catalog.Catalog.create () in
+  Lq_catalog.Catalog.add cat ~name:"t" ~schema (mk 4);
+  let prov = Provider.create cat in
+  let q = source "t" |> where "s" (v "s" $. "id" >=: int 0) in
+  let follows n =
+    check_int "row_count" n (Lq_catalog.Catalog.row_count (Lq_catalog.Catalog.table cat "t"));
+    let rendered, _ = Provider.explain prov ~engine:Lq_core.Engines.linq_to_objects q in
+    let scan =
+      List.find
+        (fun l -> String.starts_with ~prefix:"scan t" (String.trim l))
+        (String.split_on_char '\n' rendered)
+    in
+    check_bool
+      (Printf.sprintf "scan estimate follows (%s)" scan)
+      true
+      (String.ends_with ~suffix:(Printf.sprintf "(~%d rows)" n) scan)
+  in
+  follows 4;
+  Lq_catalog.Catalog.replace cat ~name:"t" ~schema (mk 9);
+  follows 9;
+  Lq_catalog.Catalog.replace cat ~name:"t" ~schema (mk 2);
+  follows 2
 
 (* A table read *only* through a nested sub-query must still invalidate
    the recycled result when it is reloaded (the access model used to stop
@@ -328,12 +381,15 @@ let () =
           Alcotest.test_case "scoped invalidation" `Quick
             test_result_cache_invalidation_scoped;
           Alcotest.test_case "exact counters" `Quick test_result_cache_exact_counters;
+          Alcotest.test_case "keys are exact and typed" `Quick test_result_cache_keys_exact;
         ] );
       ( "invalidation hooks",
         [
           Alcotest.test_case "catalog reload" `Quick test_catalog_invalidation_hook;
           Alcotest.test_case "sub-query-only table reload" `Quick
             test_subquery_table_invalidation;
+          Alcotest.test_case "row count follows replace" `Quick
+            test_row_count_follows_replace;
         ] );
       ("counters", [ Alcotest.test_case "registry" `Quick test_counters ]);
       ("clock", [ Alcotest.test_case "monotonic now_ms" `Quick test_now_ms_monotonic ]);

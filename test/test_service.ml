@@ -560,7 +560,34 @@ let test_retry_recovers_transient () =
   check_int "two retries recorded" 2 (Svc_metrics.retried m);
   check_int "no degradation" 0 (Svc_metrics.degraded m);
   Service.shutdown svc;
-  check_bool "conserved" true (Svc_metrics.conserved m)
+  check_bool "conserved" true (Svc_metrics.conserved m);
+  (* Faults in the request front end (optimize, lower) take the same
+     path: classified Transient, retried with backoff, the front end
+     rebuilt until it succeeds. Only a failed front end is rebuilt, so
+     each attempt draws at the two points exactly as often as a fresh
+     pipeline per attempt would, and the seeded draws fix these counts. *)
+  with_injection "seed=17;provider/optimize=0.2:transient;provider/lower=0.2:transient"
+    (fun () ->
+      let prov, svc = make_service ~domains:1 () in
+      let oracle = Provider.reference prov q_paris in
+      for i = 1 to 20 do
+        match Service.run_sync svc ~engine:Lq_core.Engines.compiled_csharp q_paris with
+        | Ok { Request.outcome = Request.Completed { rows; engine; degraded }; _ } ->
+          check_string "compiled engine answered" "compiled-csharp" engine;
+          check_bool "not degraded" false degraded;
+          Lq_testkit.check_rows (Printf.sprintf "request %d rows" i) oracle rows
+        | Ok r ->
+          Alcotest.failf "request %d: expected completion, got %s" i
+            (Request.outcome_kind r.Request.outcome)
+        | Error _ -> Alcotest.fail "admission should succeed"
+      done;
+      let m = Service.metrics svc in
+      check_int "front-end faults retried" 16 (Svc_metrics.retried m);
+      check_int "no degradation" 0 (Svc_metrics.degraded m);
+      check_int "breaker never opened" 0 (Svc_metrics.breaker_opened m);
+      check_int "no fast-fails" 0 (Svc_metrics.breaker_fast_fails m);
+      Service.shutdown svc;
+      check_bool "front-end chaos conserved" true (Svc_metrics.conserved m))
 
 let test_breaker_opens_and_fast_fails () =
   let cat = Lq_testkit.sales_catalog ~n:60 () in
