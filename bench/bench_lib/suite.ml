@@ -8,6 +8,7 @@
 module Engine_intf = Lq_catalog.Engine_intf
 module Provider = Lq_core.Provider
 module Profile = Lq_metrics.Profile
+module Trace = Lq_trace.Trace
 
 (* ------------------------------------------------------------------ *)
 (* the scored suite: fixed data seed, extended-TPC-H queries, every
@@ -82,17 +83,47 @@ let time_engine ?(runs = 3) prov ~engine ?(params = []) q =
     let samples = List.init (max 1 runs) (fun _ -> run ()) in
     Some (median (List.map fst samples), snd (List.hd samples))
 
-(* One warmup, then one profiled execution; the per-phase breakdown. *)
+(* The Figs. 8/10/12 cost breakdowns: the engine and workload each
+   figure runs and the phases it plots, as the hybrid's spans name them. *)
+type breakdown = {
+  engine : Engine_intf.t;
+  workload : Lq_expr.Ast.query;
+  phases : string list;
+}
+
+let breakdown engine workload native_phase =
+  {
+    engine;
+    workload;
+    phases =
+      [
+        "Iterate data (C#)";
+        "Apply predicates (C#)";
+        "Data staging (C#)";
+        native_phase;
+        "Return result (C/C#)";
+      ];
+  }
+
+let fig8 =
+  breakdown Lq_core.Engines.hybrid Lq_tpch.Workloads.aggregation "Aggregation (C)"
+
+let fig10 = breakdown Lq_core.Engines.hybrid_min Lq_tpch.Workloads.sorting "Quicksort (C)"
+
+let fig12 =
+  breakdown Lq_core.Engines.hybrid Lq_tpch.Workloads.join "Build hash tables, probe (C)"
+
+(* One warmup, then one traced run; the per-phase breakdown is the fold
+   over its spans. *)
 let profile_engine prov ~engine ?(params = []) q =
-  match Provider.prepare_only prov ~engine q with
+  match Provider.run prov ~engine ~params q with
   | exception Engine_intf.Unsupported _ -> None
-  | prepared, _ ->
-    let consts = Lq_expr.Shape.consts (Provider.optimized prov q) in
-    let params = params @ Lq_core.Query_cache.const_params consts in
-    ignore (prepared.Engine_intf.execute ~params ());
-    let profile = Profile.create () in
-    ignore (prepared.Engine_intf.execute ~profile ~params ());
-    Some (Profile.phases profile)
+  | _ ->
+    let tr = Trace.start ~label:engine.Engine_intf.name () in
+    Fun.protect
+      ~finally:(fun () -> Trace.finish tr)
+      (fun () -> Trace.with_trace tr (fun () -> ignore (Provider.run prov ~engine ~params q)));
+    Some (Trace.phases tr)
 
 (* The lowered plan's shape key — what the compiled-plan cache keys on.
    The determinism test pins this byte-for-byte across fresh catalogs:

@@ -72,7 +72,7 @@ let print_series ~xlabel ~xs ~series =
       List.iter (fun (_, cell) -> Printf.printf " %16s" (cell x)) series;
       print_newline ())
     xs;
-  print_string "%!"
+  flush stdout
 
 let fmt_ms = function
   | Some (ms, _) -> Printf.sprintf "%.1f" ms
@@ -156,7 +156,7 @@ let fig11 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 8 / 10 / 12: hybrid cost breakdown *)
 
-let breakdown ~title ~engine ~workload ~expected_phases =
+let breakdown ~title (fig : Suite.breakdown) =
   header title;
   let prov = Lazy.force provider in
   let data =
@@ -164,7 +164,8 @@ let breakdown ~title ~engine ~workload ~expected_phases =
       (fun sel ->
         let phases =
           match
-            profile_engine prov ~engine ~params:(Lq_tpch.Workloads.params ~sel) workload
+            profile_engine prov ~engine:fig.Suite.engine
+              ~params:(Lq_tpch.Workloads.params ~sel) fig.Suite.workload
           with
           | Some phases -> phases
           | None -> []
@@ -181,49 +182,24 @@ let breakdown ~title ~engine ~workload ~expected_phases =
             match List.assoc_opt phase (List.assoc x data) with
             | Some ms -> Printf.sprintf "%.1f" ms
             | None -> "-" ))
-      expected_phases
+      fig.Suite.phases
   in
   print_series ~xlabel:"selectivity" ~xs ~series;
   note
-    "(managed phases are timed per element in profiled runs; totals are inflated, the split is the signal)"
+    "(managed phases are timed per element in traced runs; totals are inflated, the split is the signal)"
 
 let fig8 () =
   breakdown
     ~title:
       "Figure 8: aggregation cost breakdown for compiled C#/C (full materialization) [ms]"
-    ~engine:Lq_core.Engines.hybrid ~workload:Lq_tpch.Workloads.aggregation
-    ~expected_phases:
-      [
-        "Iterate data (C#)";
-        "Apply predicates (C#)";
-        "Data staging (C#)";
-        "Aggregation (C)";
-        "Return result (C/C#)";
-      ]
+    Suite.fig8
 
 let fig10 () =
   breakdown ~title:"Figure 10: sorting cost breakdown for compiled C#/C (Min) [ms]"
-    ~engine:Lq_core.Engines.hybrid_min ~workload:Lq_tpch.Workloads.sorting
-    ~expected_phases:
-      [
-        "Iterate data (C#)";
-        "Apply predicates (C#)";
-        "Data staging (C#)";
-        "Quicksort (C)";
-        "Return result (C/C#)";
-      ]
+    Suite.fig10
 
 let fig12 () =
-  breakdown ~title:"Figure 12: join cost breakdown for compiled C#/C (Max) [ms]"
-    ~engine:Lq_core.Engines.hybrid ~workload:Lq_tpch.Workloads.join
-    ~expected_phases:
-      [
-        "Iterate data (C#)";
-        "Apply predicates (C#)";
-        "Data staging (C#)";
-        "Build hash tables, probe (C)";
-        "Return result (C/C#)";
-      ]
+  breakdown ~title:"Figure 12: join cost breakdown for compiled C#/C (Max) [ms]" Suite.fig12
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 13: TPC-H queries, % of LINQ-to-objects *)
@@ -305,14 +281,14 @@ let fig14 () =
 
 let table1 () =
   header "Table 1: TPC-H queries against the DBMS stand-ins [ms]";
-  note "SQL Server (interpreted) -> Volcano; SQL Server native -> Hekaton-style native";
+  note "SQL Server (interpreted) -> Volcano; SQL Server native -> compiled-c (Hekaton-style)";
   note "(receives the *correlated* Q2, which it refuses, as in the paper); VectorWise ->";
   note "vectorized columnar engine. LINQ-to-objects uses the hand-optimized Q2 plan.";
   let prov = Lazy.force provider in
   let rows =
     [
       ("SQLServer-interp", Lq_core.Engines.sqlserver_interpreted, `Decorrelated);
-      ("SQLServer-native", Lq_core.Engines.sqlserver_native, `Correlated);
+      ("SQLServer-native", Lq_core.Engines.compiled_c, `Correlated);
       ("VectorWise", Lq_core.Engines.vectorwise, `Decorrelated);
       ("LINQ-to-objects", Lq_core.Engines.linq_to_objects, `Decorrelated);
       ("Compiled C#/C", Lq_core.Engines.hybrid, `Decorrelated);
@@ -766,10 +742,10 @@ let jit () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* morsel scheduling vs the static contiguous split (wall-clock) *)
+(* morsel scheduling across Domain counts (wall-clock) *)
 
 let morsel () =
-  header "Morsel-driven scheduling vs static contiguous split (wall-clock)";
+  header "Morsel-driven scheduling across Domain counts (wall-clock)";
   let prov = Lazy.force provider in
   let w = Lq_tpch.Workloads.aggregation in
   let params = Lq_tpch.Workloads.params ~sel:1.0 in
@@ -781,14 +757,9 @@ let morsel () =
     | _ -> string_of_int Lq_parallel.Parallel_engine.default_morsel_size);
   List.iter
     (fun domains ->
-      let time mode =
-        time_query prov (Lq_parallel.Parallel_engine.make ~mode ~domains ()) w params
-      in
-      let static = time Lq_parallel.Parallel_engine.Static in
-      let morsels = time Lq_parallel.Parallel_engine.Morsel in
-      Printf.printf
-        "  %d domain(s)   static %8.1f ms   morsel %8.1f ms   (%.2fx / %.2fx vs seq)\n%!"
-        domains static morsels (seq /. static) (seq /. morsels))
+      let ms = time_query prov (Lq_parallel.Parallel_engine.engine_with ~domains) w params in
+      Printf.printf "  %d domain(s)   morsel %8.1f ms   (%.2fx vs seq)\n%!" domains ms
+        (seq /. ms))
     [ 1; 2; 4 ]
 
 let all_experiments =

@@ -147,7 +147,7 @@ let plan_cmd =
 
 (* One traced provider run: installs a fresh span tree, executes, and
    returns the finished trace (also noted in the slow-query ring). *)
-let traced_run provider ~engine ~label ?profile query =
+let traced_run provider ~engine ~label query =
   let tr = Lq_trace.Trace.start ~label () in
   let result =
     Fun.protect
@@ -156,8 +156,8 @@ let traced_run provider ~engine ~label ?profile query =
         Lq_trace.Trace.Ring.note Lq_trace.Trace.slow_log tr)
       (fun () ->
         Lq_trace.Trace.with_trace tr (fun () ->
-            Lq_core.Provider.run provider ~engine ?profile
-              ~params:Lq_tpch.Queries.extended_params query))
+            Lq_core.Provider.run provider ~engine ~params:Lq_tpch.Queries.extended_params
+              query))
   in
   (tr, result)
 
@@ -210,7 +210,7 @@ let profile_cmd =
 let trace_cmd =
   let doc =
     "Run one query through the query service with tracing forced on, print the \
-     span tree and the phase profile of the completing attempt."
+     span tree and the phase breakdown of the completing attempt."
   in
   let query_pos =
     Arg.(
@@ -230,12 +230,11 @@ let trace_cmd =
     let _, provider = load sf in
     let engine = resolve_engine engine_name in
     let query = resolve_query query_name in
-    let profile = Lq_metrics.Profile.create () in
     let config = { Lq_service.Service.default_config with domains = 1 } in
     let svc = Lq_service.Service.create ~config provider in
     let result =
       Lq_service.Service.run_sync svc ~label:query_name ~engine
-        ~params:Lq_tpch.Queries.extended_params ~trace:true ~profile query
+        ~params:Lq_tpch.Queries.extended_params ~trace:true query
     in
     Lq_service.Service.shutdown svc;
     match result with
@@ -248,27 +247,11 @@ let trace_cmd =
       | None -> print_endline "(no trace recorded)"
       | Some tr ->
         Printf.printf "\n%s" (Lq_trace.Tree.to_string tr);
-        if Lq_metrics.Profile.phases profile <> [] then begin
-          Printf.printf "\n== phase profile (completing attempt) ==\n%s\n"
-            (Lq_metrics.Profile.to_string profile);
-          (* Hybrid reconciliation: the trace's staging / native-op /
-             return-result spans and the profile derive from the same
-             clock samples, so their sums should agree. *)
-          let span_sum =
-            List.fold_left
-              (fun acc (sp : Lq_trace.Trace.span) ->
-                match sp.Lq_trace.Trace.kind with
-                | Lq_trace.Trace.Staging | Lq_trace.Trace.Native_op
-                | Lq_trace.Trace.Return_result ->
-                  acc +. Float.max 0.0 sp.Lq_trace.Trace.dur_ms
-                | _ -> acc)
-              0.0 (Lq_trace.Trace.spans tr)
-          in
-          if span_sum > 0.0 then
-            Printf.printf "staging+native+return spans %.3f ms vs profile total %.3f ms\n"
-              span_sum
-              (Lq_metrics.Profile.total_ms profile)
-        end;
+        (match Lq_service.Request.phases resp with
+        | [] -> ()
+        | phases ->
+          Printf.printf "\n== phases (completing attempt) ==\n";
+          List.iter (fun (name, ms) -> Printf.printf "%-28s %10.3f ms\n" name ms) phases);
         (match out with
         | None -> ()
         | Some path ->

@@ -30,12 +30,18 @@ dune build @tier1 $FORCE
 # a non-zero exit (a crash) fails verification.
 echo "== explain smoke (all queries x all engines) =="
 LQCG="_build/default/bin/lqcg.exe"
+# The engine registry is the one engine list: `lqcg engines` prints one
+# engine per line, name first. Names contain '[' and ',', so every loop
+# reads them line by line (`read -r` from fd 3) and never lets the shell
+# split or glob-expand them.
+ENGINES=$("$LQCG" engines | cut -d' ' -f1)
+NENGINES=$(printf '%s\n' "$ENGINES" | grep -c . || true)
+if [ "$NENGINES" -eq 0 ]; then
+  echo "lqcg engines listed no engine" >&2
+  exit 1
+fi
 for q in Q1 Q2 Q2corr Q3 Q5 Q6 Q10 Q12 Q14; do
-  for e in linq-to-objects compiled-csharp compiled-c \
-    'hybrid-csharp-c[max]' 'hybrid-csharp-c[max,buffer]' \
-    'hybrid-csharp-c[min]' 'hybrid-csharp-c[min,buffer]' \
-    sqlserver-interpreted sqlserver-native vectorwise compiled-c-parallel \
-    compiled-c-jit; do
+  while IFS= read -r e <&3; do
     if ! out=$("$LQCG" explain -e "$e" -q "$q" --sf 0.001 2>&1); then
       echo "explain crashed for $q on $e:" >&2
       echo "$out" >&2
@@ -49,20 +55,18 @@ for q in Q1 Q2 Q2corr Q3 Q5 Q6 Q10 Q12 Q14; do
         exit 1
         ;;
     esac
-  done
+  done 3<<EOF
+$ENGINES
+EOF
 done
-echo "   ok: 9 queries x 12 engines, every verdict typed"
+echo "   ok: 9 queries x $NENGINES engines, every verdict typed"
 
 # Decorrelation smoke: Q2 as naively written (correlated min sub-query)
 # must run through the decorrelation pass and produce exactly the rows of
 # the hand-decorrelated Q2 on every engine; an engine that refuses one
 # for capability reasons must refuse both (refusal parity).
 echo "== decorrelation smoke (Q2corr rows == Q2 rows on every engine) =="
-for e in linq-to-objects compiled-csharp compiled-c \
-  'hybrid-csharp-c[max]' 'hybrid-csharp-c[max,buffer]' \
-  'hybrid-csharp-c[min]' 'hybrid-csharp-c[min,buffer]' \
-  sqlserver-interpreted sqlserver-native vectorwise compiled-c-parallel \
-  compiled-c-jit; do
+while IFS= read -r e <&3; do
   out_q2=$("$LQCG" run -e "$e" -q Q2 --sf 0.002 2>&1) || true
   out_corr=$("$LQCG" run -e "$e" -q Q2corr --sf 0.002 2>&1) || true
   unsup_q2=no
@@ -86,8 +90,10 @@ for e in linq-to-objects compiled-csharp compiled-c \
       exit 1
     fi
   fi
-done
-echo "   ok: Q2corr differentially matches Q2 on all 12 engines"
+done 3<<EOF
+$ENGINES
+EOF
+echo "   ok: Q2corr differentially matches Q2 on all $NENGINES engines"
 
 # Chaos smoke: a seeded fault-injection run through the service must
 # terminate (no hung futures), keep request accounting exactly
@@ -177,11 +183,7 @@ echo "== trace smoke (one traced query per engine, checked) =="
 TRACE_CHECK="_build/default/devtools/trace_check.exe"
 TRACE_OUT="$(mktemp /tmp/lqcg_trace.XXXXXX.json)"
 trap 'rm -f "$TRACE_OUT"' EXIT
-for e in linq-to-objects compiled-csharp compiled-c \
-  'hybrid-csharp-c[max]' 'hybrid-csharp-c[max,buffer]' \
-  'hybrid-csharp-c[min]' 'hybrid-csharp-c[min,buffer]' \
-  sqlserver-interpreted sqlserver-native vectorwise compiled-c-parallel \
-  compiled-c-jit; do
+while IFS= read -r e <&3; do
   if ! out=$("$LQCG" trace Q1 -e "$e" --sf 0.001 --out "$TRACE_OUT" 2>&1); then
     echo "traced run failed for $e:" >&2
     echo "$out" >&2
@@ -192,8 +194,10 @@ for e in linq-to-objects compiled-csharp compiled-c \
     echo "$check" >&2
     exit 1
   fi
-done
-echo "   ok: 12 engines traced, every export well-formed"
+done 3<<EOF
+$ENGINES
+EOF
+echo "   ok: $NENGINES engines traced, every export well-formed"
 
 # Codegen smoke: every extended-TPC-H emission must be real C — pushed
 # through `cc -fsyntax-only` (loud skip without a compiler; the stage

@@ -42,16 +42,23 @@ let () =
         Printf.printf "unsupported: %s\n" msg
       | prepared, _ ->
         Printf.printf "code generation: %.2f ms\n" prepared.Engine_intf.codegen_ms;
-        let consts = Lq_expr.Shape.consts (Lq_core.Provider.optimized provider q) in
-        let params = params @ Lq_core.Query_cache.const_params consts in
-        let profile = Lq_metrics.Profile.create () in
+        (* A traced run (the prepared plan is now cached): the phase
+           breakdown is a fold over its spans. *)
+        let trace = Lq_trace.Trace.start ~label:qname () in
         let t0 = Unix.gettimeofday () in
-        let rows = prepared.Engine_intf.execute ~profile ~params () in
+        let rows =
+          Lq_trace.Trace.with_trace trace (fun () ->
+              Lq_core.Provider.run provider ~engine ~params q)
+        in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        Lq_trace.Trace.finish trace;
         Printf.printf "executed in %.1f ms, %d result rows; first rows:\n" ms
           (List.length rows);
         List.iteri
           (fun i r -> if i < 4 then Printf.printf "  %s\n" (Value.to_string r))
           rows;
-        Printf.printf "phase breakdown:\n%s\n" (Lq_metrics.Profile.to_string profile))
+        Printf.printf "phase breakdown:\n";
+        List.iter
+          (fun (name, ms) -> Printf.printf "%-28s %10.3f ms\n" name ms)
+          (Lq_trace.Trace.phases trace))
     Lq_tpch.Queries.all

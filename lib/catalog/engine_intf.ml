@@ -3,11 +3,7 @@ open Lq_value
 exception Unsupported of string
 
 type prepared = {
-  execute :
-    ?profile:Lq_metrics.Profile.t ->
-    params:(string * Value.t) list ->
-    unit ->
-    Value.t list;
+  execute : params:(string * Value.t) list -> unit -> Value.t list;
       (** Must be safe to call from multiple Domains: the compiled-query
           cache hands one prepared plan to every concurrent caller. Engines
           whose plans close over mutable scratch state serialize executions

@@ -14,13 +14,10 @@ exception Unsupported of string
     Hekaton rejecting TPC-H Q2's nested sub-query (§7.5). *)
 
 type prepared = {
-  execute :
-    ?profile:Lq_metrics.Profile.t ->
-    params:(string * Value.t) list ->
-    unit ->
-    Value.t list;
-      (** Runs the compiled plan. [profile] collects the per-phase cost
-          breakdown (Figs. 8/10/12). *)
+  execute : params:(string * Value.t) list -> unit -> Value.t list;
+      (** Runs the compiled plan. Per-phase cost breakdowns (Figs.
+          8/10/12) are read from the ambient trace's spans
+          ({!Lq_trace.Trace.phases}). *)
   codegen_ms : float;  (** plan generation ("code generation") time *)
   source : string option;
       (** the generated C#-like / C-like source listing, when the backend

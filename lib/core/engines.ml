@@ -11,7 +11,6 @@ let hybrid_min_buffered =
 let compiled_c_parallel = Lq_parallel.Parallel_engine.engine
 let compiled_c_jit = Lq_jit.Jit_engine.engine
 let sqlserver_interpreted = Lq_volcano.Volcano_engine.engine
-let sqlserver_native = Lq_native.Native_engine.engine_dbms
 let vectorwise = Lq_vector.Vector_engine.engine
 
 let paper_engines =
@@ -27,7 +26,6 @@ let all =
     hybrid_min;
     hybrid_min_buffered;
     sqlserver_interpreted;
-    sqlserver_native;
     vectorwise;
     compiled_c_parallel;
     compiled_c_jit;

@@ -8,7 +8,6 @@ val hybrid_buffered : Lq_catalog.Engine_intf.t
 val hybrid_min : Lq_catalog.Engine_intf.t
 val hybrid_min_buffered : Lq_catalog.Engine_intf.t
 val sqlserver_interpreted : Lq_catalog.Engine_intf.t
-val sqlserver_native : Lq_catalog.Engine_intf.t
 val vectorwise : Lq_catalog.Engine_intf.t
 
 val compiled_c_parallel : Lq_catalog.Engine_intf.t

@@ -140,14 +140,14 @@ let prepare_only t ~engine q =
   let prepared, outcome, _ = prepare_internal t ~engine q in
   (prepared, outcome)
 
-let run t ~engine ?(params = []) ?profile ?checkpoint ?front q =
+let run t ~engine ?(params = []) ?checkpoint ?front q =
   let prepared, _, front = prepare_internal t ~engine ?checkpoint ?front q in
   let all_params = params @ front.bindings in
   let execute () =
     Trace.with_span Trace.Execute engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/execute";
         let rows =
-          try prepared.Engine_intf.execute ?profile ~params:all_params () with
+          try prepared.Engine_intf.execute ~params:all_params () with
           | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
           | exn ->
             raise

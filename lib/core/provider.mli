@@ -90,7 +90,6 @@ val run :
   t ->
   engine:Lq_catalog.Engine_intf.t ->
   ?params:(string * Value.t) list ->
-  ?profile:Lq_metrics.Profile.t ->
   ?checkpoint:(string -> unit) ->
   ?front:front_end ->
   Lq_expr.Ast.query ->

@@ -1,4 +1,5 @@
 module Counters = Lq_metrics.Counters
+module Lru = Lq_lru.Lru
 
 type admission =
   | Admit_all

@@ -1,5 +1,6 @@
 open Lq_value
 module Counters = Lq_metrics.Counters
+module Lru = Lq_lru.Lru
 
 type stats = {
   hits : int;

@@ -15,12 +15,7 @@ let make ~name ~describe options : Engine_intf.t =
         let source = Codegen_cs.emit query in
         let codegen_ms = Profile.now_ms () -. start in
         {
-          Engine_intf.execute =
-            (fun ?profile ~params () ->
-              let run () = Plan.execute plan ~params in
-              match profile with
-              | None -> run ()
-              | Some p -> Profile.time p "Execute compiled C# (managed)" run);
+          Engine_intf.execute = (fun ~params () -> Plan.execute plan ~params);
           codegen_ms;
           source = Some source;
         });

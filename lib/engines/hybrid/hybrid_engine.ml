@@ -34,13 +34,6 @@ type staged = {
   driver_cell : ((int -> unit) -> unit) ref;  (** set per execution *)
 }
 
-(* Per-execution managed phase accumulators (Figs. 8/10/12). *)
-type phases = {
-  mutable iterate_ms : float;
-  mutable predicates_ms : float;
-  mutable staging_ms : float;
-}
-
 let resolve_path_ty source_ty path =
   let rec go ty = function
     | [] -> ty
@@ -407,16 +400,14 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
     in
     let codegen_ms = Profile.now_ms () -. start_ms in
     (* --- Execution --- *)
-    let execute ?profile ~params () =
+    let execute ~params () =
       let rt = Cexpr.make_rt cctx ~params in
       incr eval_epoch;
       eval_ctx_cell := Some (Catalog.eval_ctx cat ~params);
-      let ph = { iterate_ms = 0.0; predicates_ms = 0.0; staging_ms = 0.0 } in
-      (* Wall-clock spent inside staging drivers this execution; the
-         native-op span is the offloaded run minus this, so the trace's
-         staging/native split derives from one set of clock samples
-         (Figs. 8/10/12). *)
-      let staged_ms = ref 0.0 in
+      (* Managed-side phase time of this execution's traced drives; the
+         native-op span is the offloaded run minus this, so the whole
+         Figs. 8/10/12 split derives from one set of clock samples. *)
+      let managed_ms = ref 0.0 in
       (* Install staging drivers for this execution. *)
       List.iter
         (fun st ->
@@ -456,7 +447,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
             Lq_fault.Inject.hit "hybrid/staging";
             Rowstore.clear st.store;
             let n = Array.length rows in
-            if profile = None then begin
+            if not (Trace.tracing ()) then begin
               if buffered then begin
                 for i = 0 to n - 1 do
                   let v = rows.(i) in
@@ -485,7 +476,13 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
               end
             end
             else begin
-              (* Profiled variant: fine-grained managed phase timers. *)
+              (* Traced variant: per-element phase timers, summed over
+                 the drive and recorded as one span per phase, laid end
+                 to end from the drive's start. *)
+              let d0 = Profile.now_ms () in
+              let iterate_ms = ref 0.0 in
+              let predicates_ms = ref 0.0 in
+              let staging_ms = ref 0.0 in
               let flush () =
                 for r = 0 to Rowstore.length st.store - 1 do
                   emit r
@@ -504,49 +501,27 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
                   stage_row i v
                 end;
                 let t3 = Profile.now_ms () in
-                ph.iterate_ms <- ph.iterate_ms +. (t1 -. t0);
-                ph.predicates_ms <- ph.predicates_ms +. (t2 -. t1);
-                ph.staging_ms <- ph.staging_ms +. (t3 -. t2)
+                iterate_ms := !iterate_ms +. (t1 -. t0);
+                predicates_ms := !predicates_ms +. (t2 -. t1);
+                staging_ms := !staging_ms +. (t3 -. t2)
               done;
+              let record name start_ms dur_ms =
+                Trace.add_span
+                  ~attrs:[ ("source", st.spec.Split.source) ]
+                  Trace.Staging name ~start_ms ~dur_ms
+              in
+              record "Iterate data (C#)" d0 !iterate_ms;
+              record "Apply predicates (C#)" (d0 +. !iterate_ms) !predicates_ms;
+              record "Data staging (C#)" (d0 +. !iterate_ms +. !predicates_ms) !staging_ms;
+              managed_ms := !managed_ms +. !iterate_ms +. !predicates_ms +. !staging_ms;
               for r = 0 to Rowstore.length st.store - 1 do
                 emit r
               done;
               if buffered then Rowstore.clear st.store
             end
           in
-          let drive emit =
-            if not (Trace.tracing ()) then drive emit
-            else begin
-              let d0 = Profile.now_ms () in
-              Trace.with_span
-                ~attrs:[ ("source", st.spec.Split.source) ]
-                Trace.Staging
-                ("stage:" ^ st.spec.Split.occ)
-                (fun () -> drive emit);
-              staged_ms := !staged_ms +. (Profile.now_ms () -. d0)
-            end
-          in
           st.driver_cell := drive)
         staged;
-      (* Phase attribution happens per *attempt*: managed-side phases
-         accumulated so far are charged even when the native run or the
-         result construction raises, just like the other engines'
-         [Profile.time] wrappers. A caller running several attempts
-         against one request (the service's retry/fallback ladder) must
-         give each attempt a scratch profile and merge only the
-         completing one, or staging would be double-charged. *)
-      let charged = ref false in
-      let charge_managed p =
-        Profile.add p "Iterate data (C#)" ph.iterate_ms;
-        Profile.add p "Apply predicates (C#)" ph.predicates_ms;
-        Profile.add p "Data staging (C#)" ph.staging_ms
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          match profile with
-          | Some p when not !charged -> charge_managed p
-          | _ -> ())
-      @@ fun () ->
       let t_start = Profile.now_ms () in
       let native_out = Nplan.execute nplan ~params () in
       let t_native = Profile.now_ms () in
@@ -582,35 +557,24 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
               * Layout.row_width (Rowstore.layout st.store))
           0 staged;
       if Trace.tracing () then begin
-        (* The staging spans were recorded live by the drivers; the
-           offloaded-operator and return-result spans are derived from
-           the same clock samples, so span sums reconcile with the
-           profile's phase totals. *)
-        Trace.add_span Trace.Native_op (native_phase_label rewritten) ~start_ms:t_start
-          ~dur_ms:(Float.max 0.0 (t_native -. t_start -. !staged_ms));
-        Trace.add_span Trace.Return_result "return-result" ~start_ms:t_native
-          ~dur_ms:(Float.max 0.0 (t_end -. t_native))
+        (* The drives recorded the managed phases; the native operator
+           is the rest of the offloaded run, placed to end where result
+           construction starts. *)
+        let native_ms = Float.max 0.0 (t_native -. t_start -. !managed_ms) in
+        Trace.add_span Trace.Native_op (native_phase_label rewritten)
+          ~start_ms:(t_native -. native_ms) ~dur_ms:native_ms;
+        Trace.add_span Trace.Return_result "Return result (C/C#)" ~start_ms:t_native
+          ~dur_ms:(t_end -. t_native)
       end;
-      (match profile with
-      | None -> ()
-      | Some p ->
-        charged := true;
-        charge_managed p;
-        let managed = ph.iterate_ms +. ph.predicates_ms +. ph.staging_ms in
-        Profile.add p (native_phase_label rewritten)
-          (Float.max 0.0 (t_native -. t_start -. managed));
-        Profile.add p "Return result (C/C#)" (t_end -. t_native));
       result
     in
     (* The staging stores, driver cells and eval-ctx cell are shared by
        every execution of this prepared plan; serialize whole executions
        so cached plans can be shared across Domains. *)
     let mu = Mutex.create () in
-    let execute ?profile ~params () =
+    let execute ~params () =
       Mutex.lock mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock mu)
-        (fun () -> execute ?profile ~params ())
+      Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> execute ~params ())
     in
     {
       Engine_intf.execute;

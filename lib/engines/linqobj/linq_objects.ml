@@ -128,15 +128,10 @@ let engine : Engine_intf.t =
         let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
         {
           Engine_intf.execute =
-            (fun ?profile ~params () ->
-              let run () =
-                let ctx = Catalog.eval_ctx cat ~params in
-                let collected = Option.map (fun _ -> ref []) instr in
-                E.to_list (pipeline ?instr ?collected ~top:lowered ctx cat lowered)
-              in
-              match profile with
-              | None -> run ()
-              | Some p -> Lq_metrics.Profile.time p "Iterate pipeline (managed)" run);
+            (fun ~params () ->
+              let ctx = Catalog.eval_ctx cat ~params in
+              let collected = Option.map (fun _ -> ref []) instr in
+              E.to_list (pipeline ?instr ?collected ~top:lowered ctx cat lowered));
           codegen_ms;
           source = None;
         });

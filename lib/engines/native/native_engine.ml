@@ -2,10 +2,10 @@ module Engine_intf = Lq_catalog.Engine_intf
 module Catalog = Lq_catalog.Catalog
 module Profile = Lq_metrics.Profile
 
-let make ~name ~describe : Engine_intf.t =
+let engine : Engine_intf.t =
   {
-    Engine_intf.name;
-    describe;
+    Engine_intf.name = "compiled-c";
+    describe = "generated C: tight loops over flat row stores, no staging";
     (* Hekaton-style native compilation: flat row stores only, no
        correlated sub-queries (§7.5), and groups must reduce to fused
        accumulators — whole group values cannot be materialized. *)
@@ -33,18 +33,5 @@ let make ~name ~describe : Engine_intf.t =
           | Lq_expr.Typecheck.Type_error msg -> Engine_intf.unsupported "%s" msg
         in
         let codegen_ms = Profile.now_ms () -. start in
-        {
-          Engine_intf.execute =
-            (fun ?profile ~params () -> Nplan.execute plan ?profile ~params ());
-          codegen_ms;
-          source = Some source;
-        });
+        { Engine_intf.execute = Nplan.execute plan; codegen_ms; source = Some source });
   }
-
-let engine =
-  make ~name:"compiled-c"
-    ~describe:"generated C: tight loops over flat row stores, no staging"
-
-let engine_dbms =
-  make ~name:"sqlserver-native"
-    ~describe:"Hekaton stand-in: the native backend run as a DBMS engine"

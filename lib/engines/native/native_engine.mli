@@ -7,7 +7,5 @@
     sub-queries, non-flat intermediates), like Hekaton refusing TPC-H Q2. *)
 
 val engine : Lq_catalog.Engine_intf.t
-
-val engine_dbms : Lq_catalog.Engine_intf.t
-(** The same backend presented as the "SQL Server native / Hekaton"
-    stand-in of Table 1 (identical execution; separate name for reports). *)
+(** Also the "SQL Server native / Hekaton" stand-in of Table 1, which
+    runs this engine under that label. *)

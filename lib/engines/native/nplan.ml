@@ -686,7 +686,7 @@ let compile ?(options = Lq_plan.Options.default) ?trace ?override cat
    cells and accumulator arrays — one execution at a time. The cache hands
    the same plan to every Domain, so executions of the *same* plan
    serialize here; distinct plans still run in parallel. *)
-let execute t ?profile ~params () =
+let execute t ~params () =
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
@@ -694,13 +694,8 @@ let execute t ?profile ~params () =
       Nexpr.bind_params t.nctx params;
       let ectx = Catalog.eval_ctx t.cat ~params in
       List.iter (fun fill -> fill ectx) t.fillers;
-      let run () =
-        let acc = ref [] in
-        t.root.run (fun () -> acc := t.emit () :: !acc);
-        List.rev !acc
-      in
-      match profile with
-      | None -> run ()
-      | Some p -> Lq_metrics.Profile.time p "Evaluate query (C)" run)
+      let acc = ref [] in
+      t.root.run (fun () -> acc := t.emit () :: !acc);
+      List.rev !acc)
 
 let segments t = t.segments

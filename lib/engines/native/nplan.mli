@@ -66,11 +66,6 @@ val rewrite_gkey : string -> Lq_expr.Ast.expr -> Lq_expr.Ast.expr
     so group-result bodies compile against a key element binding.
     Shared with the C emitter so both backends rewrite identically. *)
 
-val execute :
-  t ->
-  ?profile:Lq_metrics.Profile.t ->
-  params:(string * Value.t) list ->
-  unit ->
-  Value.t list
+val execute : t -> params:(string * Value.t) list -> unit -> Value.t list
 
 val segments : t -> int

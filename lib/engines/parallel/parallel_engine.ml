@@ -197,22 +197,16 @@ end)
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven scheduling.
 
-   The static split hands each Domain one contiguous [nrows/workers]
-   range at prepare time, so one slow partition gates the query. Morsel
-   mode instead cuts the scan into small fixed-size work units that
-   worker Domains *pull* from a shared atomic counter: a worker that
-   drew cheap rows simply pulls more morsels. Results are keyed by
-   morsel id and reassembled in morsel order, so the merged output is
-   byte-identical to a sequential scan regardless of which Domain ran
-   which unit (and of the Domain count). Each morsel is also a
-   typed-fault / cancellation checkpoint: a chaos-injected or crashed
-   unit flips a shared abort flag that every worker polls between
-   pulls, and the coordinator joins every Domain before surfacing the
-   fault. *)
-
-type mode =
-  | Static  (** one contiguous range per Domain, fixed at prepare *)
-  | Morsel  (** shared-queue work units of [LQ_MORSEL_SIZE] rows *)
+   The scan is cut into small fixed-size work units that worker Domains
+   *pull* from a shared atomic counter: a worker that drew cheap rows
+   simply pulls more morsels, so no single slow partition gates the
+   query. Results are keyed by morsel id and reassembled in morsel
+   order, so the merged output is byte-identical to a sequential scan
+   regardless of which Domain ran which unit (and of the Domain count).
+   Each morsel is also a typed-fault / cancellation checkpoint: a
+   chaos-injected or crashed unit flips a shared abort flag that every
+   worker polls between pulls, and the coordinator joins every Domain
+   before surfacing the fault. *)
 
 (* Process-global scheduler counters, surfaced by [Provider.report]. *)
 let counters = Lq_metrics.Counters.create ()
@@ -228,7 +222,7 @@ let morsel_size () =
     | _ -> default_morsel_size)
   | None -> default_morsel_size
 
-let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
+let make ?name ~domains () : Engine_intf.t =
   let prepare ?instr cat (query : Ast.query) =
     ignore instr;
     let start = Lq_metrics.Profile.now_ms () in
@@ -279,9 +273,8 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
     let nrows = Rowstore.length store in
     let workers = max 1 (min domains (max 1 nrows)) in
     (* One independent compiled plan per worker Domain, scanning whatever
-       row range its mutable cell holds when it executes: static mode
-       pins the cells once to the contiguous split, morsel mode re-aims
-       them at each pulled work unit. *)
+       row range its mutable cell holds when it executes: each pulled
+       work unit re-aims the cell. *)
     let wplans =
       List.init workers (fun _ ->
           let range = ref (0, 0) in
@@ -306,173 +299,151 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
        scratch: concurrent executes of one cached prepared plan must not
        interleave on them. *)
     let exec_mu = Mutex.create () in
-    let execute ?profile ~params () =
-      let run () =
-        Mutex.lock exec_mu;
-        Fun.protect ~finally:(fun () -> Mutex.unlock exec_mu) @@ fun () ->
-        (* Pre-intern string parameters on the coordinating domain: the
-           workers' own bindings then only *read* the dictionary, which
-           is safe. *)
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
-            | _ -> ())
-          params;
-        let range_of, nmorsels =
-          match mode with
-          | Static ->
-            ((fun m -> (m * nrows / workers, (m + 1) * nrows / workers)), workers)
-          | Morsel ->
-            (* Clamped so even a small table fans out across the workers. *)
-            let unit_rows =
-              max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers))
-            in
-            let n = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
-            ((fun m -> (m * unit_rows, min nrows ((m + 1) * unit_rows))), n)
-        in
-        let next = Atomic.make 0 in
-        let abort : exn option Atomic.t = Atomic.make None in
-        let results = Array.make (max 1 nmorsels) [] in
-        (* One work unit: a typed-fault / cancellation checkpoint, its
-           own trace span, one compiled-plan pass over the range. *)
-        let run_morsel (plan, range) m =
-          let lo, hi = range_of m in
-          match
-            Lq_trace.Trace.with_span
-              ~attrs:[ ("rows", string_of_int (max 0 (hi - lo))) ]
-              Lq_trace.Trace.Morsel
-              (Printf.sprintf "morsel-%d" m)
-              (fun () ->
-                Lq_fault.Inject.hit "parallel/morsel";
-                range := (lo, hi);
-                Nplan.execute plan ~params ())
-          with
-          | rows ->
-            results.(m) <- rows;
-            Lq_metrics.Counters.incr counters "parallel/morsels";
-            true
-          | exception exn ->
-            ignore (Atomic.compare_and_set abort None (Some exn) : bool);
-            false
-        in
-        let worker wid wp =
-          Lq_trace.Trace.with_span Lq_trace.Trace.Partition
-            (Printf.sprintf "partition-%d" wid)
+    let execute ~params () =
+      Mutex.lock exec_mu;
+      Fun.protect ~finally:(fun () -> Mutex.unlock exec_mu) @@ fun () ->
+      (* Pre-intern string parameters on the coordinating domain: the
+         workers' own bindings then only *read* the dictionary, which
+         is safe. *)
+      List.iter
+        (fun (_, v) ->
+          match v with
+          | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
+          | _ -> ())
+        params;
+      (* Clamped so even a small table fans out across the workers. *)
+      let unit_rows = max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers)) in
+      let nmorsels = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
+      let range_of m = (m * unit_rows, min nrows ((m + 1) * unit_rows)) in
+      let next = Atomic.make 0 in
+      let abort : exn option Atomic.t = Atomic.make None in
+      let results = Array.make (max 1 nmorsels) [] in
+      (* One work unit: a typed-fault / cancellation checkpoint, its
+         own trace span, one compiled-plan pass over the range. *)
+      let run_morsel (plan, range) m =
+        let lo, hi = range_of m in
+        match
+          Lq_trace.Trace.with_span
+            ~attrs:[ ("rows", string_of_int (max 0 (hi - lo))) ]
+            Lq_trace.Trace.Morsel
+            (Printf.sprintf "morsel-%d" m)
             (fun () ->
-              let processed = ref 0 in
-              (match mode with
-              | Static ->
-                if wid < nmorsels && nrows > 0 && run_morsel wp wid then
-                  incr processed
-              | Morsel ->
-                let continue = ref true in
-                while !continue do
-                  if Atomic.get abort <> None then continue := false
-                  else begin
-                    let m = Atomic.fetch_and_add next 1 in
-                    if m >= nmorsels then continue := false
-                    else if run_morsel wp m then incr processed
-                    else continue := false
-                  end
-                done);
-              Lq_trace.Trace.span_attr "morsels" (string_of_int !processed))
-        in
-        (match wplans with
-        | [ only ] -> worker 0 only
-        | first :: rest ->
-          (* Hand the ambient trace context (if any) to the worker
-             Domains: each re-installs it with its own span buffer, so
-             partition spans land in the submitting request's trace
-             without contending on the coordinator's buffer. *)
-          let tctx = Lq_trace.Trace.current () in
-          let handles =
-            List.mapi
-              (fun i wp ->
-                Domain.spawn (fun () ->
-                    Lq_trace.Trace.with_context tctx (fun () -> worker (i + 1) wp)))
-              rest
-          in
-          worker 0 first;
-          (* Join every worker before surfacing any failure — a crashed
-             morsel must not leak still-running Domains. *)
-          List.iter
-            (fun h ->
-              match Domain.join h with
-              | () -> ()
-              | exception exn ->
-                ignore (Atomic.compare_and_set abort None (Some exn) : bool))
-            handles
-        | [] -> ());
-        (match Atomic.get abort with
-        | Some exn ->
-          raise
-            (Lq_fault.Fault
-               (Lq_fault.classify ~stage:"execute" ~default:Lq_fault.Internal exn))
-        | None -> ());
-        Lq_metrics.Counters.incr counters "parallel/executions";
-        (* Morsel-ordered reassembly: identical to the sequential row
-           order however the units were scheduled. *)
-        let results = Array.to_list results in
-        let merged =
-          match merge_kind with
-          | `Concat -> List.concat results
-          | `Merge_groups (partials, merged_body, gvar, rebuild_key) ->
-            (* Combine partial accumulators per key, first-occurrence
-               order across the ordered chunks. *)
-            let table = Vtbl.create 256 in
-            let order = ref [] in
-            List.iter
-              (List.iter (fun row ->
-                   let k = rebuild_key row in
-                   let accs =
-                     List.mapi (fun i _ -> Value.field row (partial_name i)) partials
-                   in
-                   match Vtbl.find_opt table k with
-                   | None ->
-                     Vtbl.add table k (ref accs);
-                     order := k :: !order
-                   | Some cell ->
-                     cell := List.map2 (fun p (a, b) -> combine p a b) partials
-                         (List.combine !cell accs)))
-              results;
-            List.rev_map
-              (fun k ->
-                let accs = !(Vtbl.find table k) in
-                let acc_record =
-                  Value.Record
-                    (Array.of_list
-                       (List.mapi (fun i v -> (partial_name i, v)) accs))
-                in
-                let env =
-                  [
-                    ("__acc", acc_record);
-                    (gvar, Eval.group_value ~key:k ~items:[]);
-                  ]
-                in
-                Eval.expr (Eval.ctx ~params ()) ~env merged_body)
-              !order
-        in
-        (* Sequential remainder over the merged rows. *)
-        match remainder with
-        | Ast.Source name when String.equal name merged_source -> merged
-        | _ ->
-          let ctx =
-            Eval.ctx
-              ~catalog:(fun name ->
-                if String.equal name merged_source then merged
-                else Catalog.rows (Catalog.table cat name))
-              ~params ()
-          in
-          Eval.run ctx remainder
+              Lq_fault.Inject.hit "parallel/morsel";
+              range := (lo, hi);
+              Nplan.execute plan ~params ())
+        with
+        | rows ->
+          results.(m) <- rows;
+          Lq_metrics.Counters.incr counters "parallel/morsels";
+          true
+        | exception exn ->
+          ignore (Atomic.compare_and_set abort None (Some exn) : bool);
+          false
       in
-      match profile with
-      | None -> run ()
-      | Some p ->
-        Lq_metrics.Profile.time p
-          (Printf.sprintf "Parallel scan+aggregate (%d domains, %s)" workers
-             (match mode with Static -> "static split" | Morsel -> "morsels"))
-          run
+      let worker wid wp =
+        Lq_trace.Trace.with_span Lq_trace.Trace.Partition
+          (Printf.sprintf "partition-%d" wid)
+          (fun () ->
+            let processed = ref 0 in
+            let continue = ref true in
+            while !continue do
+              if Atomic.get abort <> None then continue := false
+              else begin
+                let m = Atomic.fetch_and_add next 1 in
+                if m >= nmorsels then continue := false
+                else if run_morsel wp m then incr processed
+                else continue := false
+              end
+            done;
+            Lq_trace.Trace.span_attr "morsels" (string_of_int !processed))
+      in
+      (match wplans with
+      | [ only ] -> worker 0 only
+      | first :: rest ->
+        (* Hand the ambient trace context (if any) to the worker
+           Domains: each re-installs it with its own span buffer, so
+           partition spans land in the submitting request's trace
+           without contending on the coordinator's buffer. *)
+        let tctx = Lq_trace.Trace.current () in
+        let handles =
+          List.mapi
+            (fun i wp ->
+              Domain.spawn (fun () ->
+                  Lq_trace.Trace.with_context tctx (fun () -> worker (i + 1) wp)))
+            rest
+        in
+        worker 0 first;
+        (* Join every worker before surfacing any failure — a crashed
+           morsel must not leak still-running Domains. *)
+        List.iter
+          (fun h ->
+            match Domain.join h with
+            | () -> ()
+            | exception exn ->
+              ignore (Atomic.compare_and_set abort None (Some exn) : bool))
+          handles
+      | [] -> ());
+      (match Atomic.get abort with
+      | Some exn ->
+        raise
+          (Lq_fault.Fault
+             (Lq_fault.classify ~stage:"execute" ~default:Lq_fault.Internal exn))
+      | None -> ());
+      Lq_metrics.Counters.incr counters "parallel/executions";
+      (* Morsel-ordered reassembly: identical to the sequential row
+         order however the units were scheduled. *)
+      let results = Array.to_list results in
+      let merged =
+        match merge_kind with
+        | `Concat -> List.concat results
+        | `Merge_groups (partials, merged_body, gvar, rebuild_key) ->
+          (* Combine partial accumulators per key, first-occurrence
+             order across the ordered chunks. *)
+          let table = Vtbl.create 256 in
+          let order = ref [] in
+          List.iter
+            (List.iter (fun row ->
+                 let k = rebuild_key row in
+                 let accs =
+                   List.mapi (fun i _ -> Value.field row (partial_name i)) partials
+                 in
+                 match Vtbl.find_opt table k with
+                 | None ->
+                   Vtbl.add table k (ref accs);
+                   order := k :: !order
+                 | Some cell ->
+                   cell := List.map2 (fun p (a, b) -> combine p a b) partials
+                       (List.combine !cell accs)))
+            results;
+          List.rev_map
+            (fun k ->
+              let accs = !(Vtbl.find table k) in
+              let acc_record =
+                Value.Record
+                  (Array.of_list
+                     (List.mapi (fun i v -> (partial_name i, v)) accs))
+              in
+              let env =
+                [
+                  ("__acc", acc_record);
+                  (gvar, Eval.group_value ~key:k ~items:[]);
+                ]
+              in
+              Eval.expr (Eval.ctx ~params ()) ~env merged_body)
+            !order
+      in
+      (* Sequential remainder over the merged rows. *)
+      match remainder with
+      | Ast.Source name when String.equal name merged_source -> merged
+      | _ ->
+        let ctx =
+          Eval.ctx
+            ~catalog:(fun name ->
+              if String.equal name merged_source then merged
+              else Catalog.rows (Catalog.table cat name))
+            ~params ()
+        in
+        Eval.run ctx remainder
     in
     { Engine_intf.execute; codegen_ms; source = None }
   in
@@ -482,13 +453,8 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
       | Some n -> n
       | None -> Printf.sprintf "compiled-c-parallel[%d]" domains);
     describe =
-      (match mode with
-      | Morsel ->
-        "extension: morsel-driven domain-parallel native scans with \
-         partial-aggregate merge"
-      | Static ->
-        "extension: statically partitioned domain-parallel native scans with \
-         partial-aggregate merge");
+      "extension: morsel-driven domain-parallel native scans with partial-aggregate \
+       merge";
     (* Partitioned scans only parallelize single-source pipelines whose
        aggregates merge; strings crossing Domains would need interning. *)
     caps =

@@ -828,23 +828,14 @@ let engine : Engine_intf.t =
         let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
         {
           Engine_intf.execute =
-            (fun ?profile ~params () ->
-              let go () =
-                (match instr with
-                | Some i -> trace_scan_traffic i cat plan
-                | None -> ());
-                let vc =
-                  {
-                    dict = Catalog.dict cat;
-                    params;
-                    eval_ctx = Catalog.eval_ctx cat ~params;
-                  }
-                in
-                box_dataset vc (run vc cat plan)
+            (fun ~params () ->
+              (match instr with
+              | Some i -> trace_scan_traffic i cat plan
+              | None -> ());
+              let vc =
+                { dict = Catalog.dict cat; params; eval_ctx = Catalog.eval_ctx cat ~params }
               in
-              match profile with
-              | None -> go ()
-              | Some p -> Lq_metrics.Profile.time p "Vectorized primitives" go);
+              box_dataset vc (run vc cat plan));
           codegen_ms;
           source = None;
         });

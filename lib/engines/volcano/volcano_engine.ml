@@ -307,26 +307,21 @@ let engine : Engine_intf.t =
         let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
         {
           Engine_intf.execute =
-            (fun ?profile ~params () ->
-              let run () =
-                let ctx = Catalog.eval_ctx cat ~params in
-                let root = build ?instr ctx cat plan in
-                root.op_open ();
-                let acc = ref [] in
-                let rec loop () =
-                  match root.next () with
-                  | None -> ()
-                  | Some v ->
-                    acc := v :: !acc;
-                    loop ()
-                in
-                loop ();
-                root.close ();
-                List.rev !acc
+            (fun ~params () ->
+              let ctx = Catalog.eval_ctx cat ~params in
+              let root = build ?instr ctx cat plan in
+              root.op_open ();
+              let acc = ref [] in
+              let rec loop () =
+                match root.next () with
+                | None -> ()
+                | Some v ->
+                  acc := v :: !acc;
+                  loop ()
               in
-              match profile with
-              | None -> run ()
-              | Some p -> Lq_metrics.Profile.time p "Interpret plan (Volcano)" run);
+              loop ();
+              root.close ();
+              List.rev !acc);
           codegen_ms;
           source = None;
         });

@@ -332,9 +332,8 @@ let engine : Engine_intf.t =
         let codegen_ms = Profile.now_ms () -. start in
         {
           Engine_intf.execute =
-            (fun ?profile ~params () ->
+            (fun ~params () ->
               let serve_jit art (p, stores, out_layout, snap) =
-                ignore (profile : Profile.t option);
                 Trace.span_attr "tier" "jit";
                 Counters.incr counters "service/jit/exec_jit";
                 run_jit art p stores out_layout snap dict ~params
@@ -342,7 +341,7 @@ let engine : Engine_intf.t =
               let serve_interpreted () =
                 Trace.span_attr "tier" "interpreted";
                 Counters.incr counters "service/jit/exec_interpreted";
-                Nplan.execute nplan ?profile ~params ()
+                Nplan.execute nplan ~params ()
               in
               match (Atomic.get slot, jit_ctx) with
               | Tier.Jit art, Some ctx -> serve_jit art ctx

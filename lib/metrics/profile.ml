@@ -1,36 +1,2 @@
-type t = {
-  mutable order : string list;  (** reversed first-use order *)
-  totals : (string, float ref) Hashtbl.t;
-}
-
-let create () = { order = []; totals = Hashtbl.create 8 }
-
-(* CLOCK_MONOTONIC (ns), so phase timings survive wall-clock adjustment. *)
+(* CLOCK_MONOTONIC (ns), so timings survive wall-clock adjustment. *)
 let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
-
-let add t name ms =
-  match Hashtbl.find_opt t.totals name with
-  | Some cell -> cell := !cell +. ms
-  | None ->
-    Hashtbl.add t.totals name (ref ms);
-    t.order <- name :: t.order
-
-let time t name f =
-  let start = now_ms () in
-  Fun.protect ~finally:(fun () -> add t name (now_ms () -. start)) f
-
-let phases t =
-  List.rev_map (fun name -> (name, !(Hashtbl.find t.totals name))) t.order
-
-let total_ms t = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 (phases t)
-
-let merge src ~into = List.iter (fun (name, ms) -> add into name ms) (phases src)
-
-let reset t =
-  t.order <- [];
-  Hashtbl.reset t.totals
-
-let to_string t =
-  phases t
-  |> List.map (fun (name, ms) -> Printf.sprintf "%-24s %10.3f ms" name ms)
-  |> String.concat "\n"

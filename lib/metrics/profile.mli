@@ -1,33 +1,8 @@
-(** Wall-clock phase profiling.
+(** The wall clock every timer in the system reads. Per-phase cost
+    breakdowns (Figs. 8, 10, 12) are not kept here: they are a fold over
+    trace spans ({!Lq_trace.Trace.phases}). *)
 
-    The cost-breakdown figures of the paper (Figs. 8, 10, 12) decompose a
-    hybrid run into iterate / apply-predicates / data-staging / native-op /
-    return-result phases. Engines accumulate those phases here. Phase names
-    repeat freely; times with the same name add up. *)
-
-type t
-
-val create : unit -> t
 val now_ms : unit -> float
 (** Monotonic clock (CLOCK_MONOTONIC) in milliseconds. The origin is
     arbitrary — only differences are meaningful — but successive samples
     never decrease, even across wall-clock adjustments. *)
-
-val add : t -> string -> float -> unit
-(** Adds [ms] to a named phase. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Runs the thunk, charging its duration to the phase. *)
-
-val phases : t -> (string * float) list
-(** Accumulated (name, milliseconds), in first-use order. *)
-
-val total_ms : t -> float
-
-val merge : t -> into:t -> unit
-(** Adds every phase of the first profile into [into]. The service uses
-    this to charge a request's profile from a per-attempt scratch
-    profile only when that attempt completes. *)
-
-val reset : t -> unit
-val to_string : t -> string

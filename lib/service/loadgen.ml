@@ -33,6 +33,7 @@ type report = {
   failed : int;
   throughput_per_s : float;
   latency : Histogram.t;
+  max_lateness_ms : float;
 }
 
 let conserved r =
@@ -61,7 +62,10 @@ let tallies () =
     lat = Histogram.create ();
   }
 
-let record ts (resp : Request.response) =
+(* [late_ms]: how long after its due time the request was handed to the
+   service. Latency runs from the due time, so a submitter that falls
+   behind its schedule cannot hide the delay. *)
+let record ts ~late_ms (resp : Request.response) =
   (match resp.Request.outcome with
   | Request.Completed { degraded; _ } ->
     Atomic.incr ts.completed_n;
@@ -69,7 +73,7 @@ let record ts (resp : Request.response) =
   | Request.Timed_out _ -> Atomic.incr ts.timed_out_n
   | Request.Shed _ -> Atomic.incr ts.shed_n
   | Request.Failed _ -> Atomic.incr ts.failed_n);
-  Histogram.observe ts.lat resp.Request.total_ms
+  Histogram.observe ts.lat (late_ms +. resp.Request.total_ms)
 
 let run ?(seed = 42) ?deadline_ms ~workload arrival svc =
   if Array.length workload = 0 then invalid_arg "Loadgen.run: empty workload";
@@ -78,19 +82,23 @@ let run ?(seed = 42) ?deadline_ms ~workload arrival svc =
      its own parameter vectors no matter how arrivals interleave. *)
   let item_counts = Array.init n_items (fun _ -> Atomic.make 0) in
   let ts = tallies () in
+  (* Returns the future and the instant the request reached the service. *)
   let submit_one i =
     let it = workload.(i mod n_items) in
     let k = Atomic.fetch_and_add item_counts.(i mod n_items) 1 in
     Atomic.incr ts.submitted_n;
+    let params = it.params_of k in
+    let sent_ms = Lq_metrics.Profile.now_ms () in
     match
-      Service.submit svc ~label:it.label ~priority:it.priority ?engine:it.engine
-        ~params:(it.params_of k) ?deadline_ms it.query
+      Service.submit svc ~label:it.label ~priority:it.priority ?engine:it.engine ~params
+        ?deadline_ms it.query
     with
-    | Ok fut -> Some fut
+    | Ok fut -> Some (fut, sent_ms)
     | Error _ ->
       Atomic.incr ts.rejected_n;
       None
   in
+  let max_lateness_ms = ref 0.0 in
   let t0 = Lq_metrics.Profile.now_ms () in
   (match arrival with
   | Closed { clients; requests_per_client } ->
@@ -100,7 +108,7 @@ let run ?(seed = 42) ?deadline_ms ~workload arrival svc =
       for j = 0 to requests_per_client - 1 do
         (* interleave item rotation across clients *)
         match submit_one ((j * clients) + c) with
-        | Some fut -> record ts (Future.await fut)
+        | Some (fut, _) -> record ts ~late_ms:0.0 (Future.await fut)
         | None -> ()
       done
     in
@@ -110,22 +118,26 @@ let run ?(seed = 42) ?deadline_ms ~workload arrival svc =
     if rate_per_s <= 0.0 || total <= 0 then
       invalid_arg "Loadgen.run: Open needs positive rate and total";
     let rng = Prng.create seed in
-    let futures = ref [] in
-    let next = ref (Lq_metrics.Profile.now_ms ()) in
+    let pending = ref [] in
+    let due = ref (Lq_metrics.Profile.now_ms ()) in
     for i = 0 to total - 1 do
       let now = Lq_metrics.Profile.now_ms () in
-      if now < !next then Unix.sleepf ((!next -. now) /. 1000.0);
+      if now < !due then Unix.sleepf ((!due -. now) /. 1000.0);
       (match submit_one i with
-      | Some fut -> futures := fut :: !futures
+      | Some (fut, sent_ms) ->
+        let late_ms = Float.max 0.0 (sent_ms -. !due) in
+        max_lateness_ms := Float.max !max_lateness_ms late_ms;
+        pending := (fut, late_ms) :: !pending
       | None -> ());
       (* Poisson process: exponential inter-arrival gaps. If the
          submitter falls behind schedule it submits immediately — the
-         backlog is the service's problem, which is the point. *)
+         backlog is the service's problem, which is the point — and the
+         delay counts in that request's latency. *)
       let u = Prng.float rng 1.0 in
       let gap_ms = -.Float.log (1.0 -. u) /. rate_per_s *. 1000.0 in
-      next := !next +. gap_ms
+      due := !due +. gap_ms
     done;
-    List.iter (fun fut -> record ts (Future.await fut)) !futures);
+    List.iter (fun (fut, late_ms) -> record ts ~late_ms (Future.await fut)) !pending);
   let wall_ms = Lq_metrics.Profile.now_ms () -. t0 in
   let completed = Atomic.get ts.completed_n in
   {
@@ -139,6 +151,7 @@ let run ?(seed = 42) ?deadline_ms ~workload arrival svc =
     failed = Atomic.get ts.failed_n;
     throughput_per_s = (if wall_ms > 0.0 then float_of_int completed /. (wall_ms /. 1000.0) else 0.0);
     latency = ts.lat;
+    max_lateness_ms = !max_lateness_ms;
   }
 
 let to_string r =
@@ -158,4 +171,6 @@ let to_string r =
      Buffer.add_string buf
        (Printf.sprintf "  p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f\n" (q 0.5)
           (q 0.9) (q 0.95) (q 0.99) (Histogram.max_value r.latency)));
+  Buffer.add_string buf
+    (Printf.sprintf "max submitter lateness: %.2f ms\n" r.max_lateness_ms);
   Buffer.contents buf

@@ -59,7 +59,12 @@ type report = {
   failed : int;
   throughput_per_s : float;  (** completions per wall-clock second *)
   latency : Lq_metrics.Histogram.t;
-      (** client-observed total latency of every resolved request *)
+      (** client-observed total latency of every resolved request, timed
+          from when it was due: in an open loop, a request the submitter
+          sent late counts its lateness too *)
+  max_lateness_ms : float;
+      (** the open-loop submitter's largest delay behind its Poisson
+          schedule ([0.] for a closed loop, which has no schedule) *)
 }
 
 val conserved : report -> bool

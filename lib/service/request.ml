@@ -18,7 +18,6 @@ type t = {
   priority : priority;
   enqueued_ms : float;
   trace : Lq_trace.Trace.t option;
-  profile : Lq_metrics.Profile.t option;
 }
 
 type outcome =
@@ -49,6 +48,19 @@ let outcome_kind = function
   | Timed_out _ -> "timed-out"
   | Shed _ -> "shed"
   | Failed _ -> "failed"
+
+(* Attempts run one after another, so the completing one started last. *)
+let phases r =
+  match (r.outcome, r.trace) with
+  | Completed _, Some tr -> (
+    let module Trace = Lq_trace.Trace in
+    match
+      List.rev
+        (List.filter (fun (sp : Trace.span) -> sp.kind = Trace.Retry_attempt) (Trace.spans tr))
+    with
+    | last :: _ -> Trace.phases ~under:last tr
+    | [] -> [])
+  | _ -> []
 
 let response_to_string r =
   let detail =

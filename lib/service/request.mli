@@ -26,9 +26,6 @@ type t = {
   trace : Lq_trace.Trace.t option;
       (** span tree opened at admission for sampled requests; the worker
           installs it as the ambient context for the whole journey *)
-  profile : Lq_metrics.Profile.t option;
-      (** per-request phase profile, charged only from the engine
-          attempt that completes *)
 }
 
 type outcome =
@@ -60,5 +57,12 @@ type response = {
 val outcome_kind : outcome -> string
 (** ["completed"] / ["timed-out"] / ["shed"] / ["failed"] — the counter
     family bucket the outcome lands in. *)
+
+val phases : response -> (string * float) list
+(** The per-phase breakdown of the engine attempt that completed the
+    request: {!Lq_trace.Trace.phases} under the last [Retry_attempt] span
+    of a [Completed], traced response. Failed attempts are separate
+    subtrees, so their phases are never counted. [[]] for any other
+    response. *)
 
 val response_to_string : response -> string

@@ -3,7 +3,6 @@ module Engine_intf = Lq_catalog.Engine_intf
 module Breaker = Lq_fault.Breaker
 module Governor = Lq_fault.Governor
 module Trace = Lq_trace.Trace
-module Profile = Lq_metrics.Profile
 
 type config = {
   domains : int;
@@ -175,12 +174,6 @@ let process t ((req, fut) : job) =
     let attempt (engine : Engine_intf.t) =
       let rng = lazy (Lq_exec.Prng.create (0x5eed + req.Request.id)) in
       let rec go attempt_no prev_sleep =
-        (* Each attempt runs against a scratch profile, merged into the
-           request profile only when this attempt completes: a failed
-           attempt's partial phases (e.g. hybrid staging before a native
-           fault) must not be double-charged on top of the attempt that
-           eventually answers. *)
-        let scratch = Option.map (fun _ -> Profile.create ()) req.Request.profile in
         match
           Trace.with_span
             ~attrs:
@@ -193,14 +186,10 @@ let process t ((req, fut) : job) =
                   | Error _ as refused -> refused
                   | Ok () ->
                     Ok
-                      (Provider.run t.provider ~engine ?profile:scratch
-                         ~params:req.Request.params ~checkpoint ~front req.Request.query)))
+                      (Provider.run t.provider ~engine ~params:req.Request.params
+                         ~checkpoint ~front req.Request.query)))
         with
-        | Ok rows ->
-          (match (req.Request.profile, scratch) with
-          | Some p, Some s -> Profile.merge s ~into:p
-          | _ -> ());
-          Ok rows
+        | Ok rows -> Ok rows
         | Error reason ->
           Svc_metrics.note_unsupported t.metrics;
           Error (Lq_fault.make ~stage:"plan" Lq_fault.Unsupported reason)
@@ -396,7 +385,7 @@ let metrics t = t.metrics
 let queue_depth t = Request_queue.depth t.queue
 
 let submit t ?label ?(priority = Request.Batch) ?engine ?(params = []) ?deadline_ms
-    ?trace ?profile query =
+    ?trace query =
   let engine =
     match engine with
     | Some e -> e
@@ -434,7 +423,6 @@ let submit t ?label ?(priority = Request.Batch) ?engine ?(params = []) ?deadline
       priority;
       enqueued_ms;
       trace = tr;
-      profile;
     }
   in
   (* A rejected submission never reaches a worker, so its trace must be
@@ -456,8 +444,8 @@ let submit t ?label ?(priority = Request.Batch) ?engine ?(params = []) ?deadline
     Svc_metrics.note_rejected t.metrics `Shutdown;
     Error Shutting_down
 
-let run_sync t ?label ?priority ?engine ?params ?deadline_ms ?trace ?profile query =
-  match submit t ?label ?priority ?engine ?params ?deadline_ms ?trace ?profile query with
+let run_sync t ?label ?priority ?engine ?params ?deadline_ms ?trace query =
+  match submit t ?label ?priority ?engine ?params ?deadline_ms ?trace query with
   | Error _ as e -> e
   | Ok fut -> Ok (Future.await fut)
 

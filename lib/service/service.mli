@@ -94,7 +94,6 @@ val submit :
   ?params:(string * Lq_value.Value.t) list ->
   ?deadline_ms:float ->
   ?trace:bool ->
-  ?profile:Lq_metrics.Profile.t ->
   Lq_expr.Ast.query ->
   (Request.response Future.t, rejection) result
 (** Non-blocking: admission happens inline, execution on a worker.
@@ -107,10 +106,9 @@ val submit :
 
     [trace] forces (or suppresses) a span tree for this request,
     overriding the config sampler; the finished trace comes back on the
-    response. [profile] receives the per-phase breakdown of the engine
-    attempt that completes the request — failed attempts charge only
-    their own scratch profile, so retries and fallback hops never
-    double-charge a phase. *)
+    response. Every engine attempt is its own [Retry_attempt] subtree,
+    so {!Request.phases} reads the per-phase breakdown of the attempt
+    that completed the request, never a failed attempt's. *)
 
 val run_sync :
   t ->
@@ -120,7 +118,6 @@ val run_sync :
   ?params:(string * Lq_value.Value.t) list ->
   ?deadline_ms:float ->
   ?trace:bool ->
-  ?profile:Lq_metrics.Profile.t ->
   Lq_expr.Ast.query ->
   (Request.response, rejection) result
 (** [submit] + [Future.await] — the synchronous client. *)

@@ -252,6 +252,43 @@ let add_span ?(attrs = []) kind name ~start_ms ~dur_ms =
     | Some fr -> ignore (record fr kind name attrs start_ms (Float.max 0.0 dur_ms))
 
 (* ------------------------------------------------------------------ *)
+(* phase breakdown: the only place phase time is read from *)
+
+let is_phase = function
+  | Execute | Staging | Native_op | Return_result -> true
+  | _ -> false
+
+let phases ?under t =
+  let all = spans t in
+  let inside =
+    match under with
+    | None -> fun _ -> true
+    | Some top ->
+      (* A parent's id is smaller than its children's, so one pass in id
+         order marks the whole subtree. *)
+      let ids = Hashtbl.create 16 in
+      Hashtbl.replace ids top.id ();
+      List.iter
+        (fun (sp : span) -> if Hashtbl.mem ids sp.parent then Hashtbl.replace ids sp.id ())
+        (List.sort (fun a b -> compare a.id b.id) all);
+      fun (sp : span) -> Hashtbl.mem ids sp.id
+  in
+  let order = ref [] in
+  let totals = Hashtbl.create 8 in
+  List.iter
+    (fun sp ->
+      if is_phase sp.kind && inside sp then begin
+        let ms = Float.max 0.0 sp.dur_ms in
+        match Hashtbl.find_opt totals sp.name with
+        | Some cell -> cell := !cell +. ms
+        | None ->
+          Hashtbl.add totals sp.name (ref ms);
+          order := sp.name :: !order
+      end)
+    all;
+  List.rev_map (fun name -> (name, !(Hashtbl.find totals name))) !order
+
+(* ------------------------------------------------------------------ *)
 (* sampling *)
 
 module Sampler = struct

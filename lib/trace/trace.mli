@@ -25,9 +25,11 @@ type kind =
   | Lower
   | Codegen
   | Execute
-  | Staging  (** hybrid managed-side iterate + predicates + copy-in *)
+  | Staging
+      (** hybrid managed side, one span per phase and staged source:
+          iterate, apply predicates, data staging (Figs. 8/10/12) *)
   | Native_op  (** hybrid offloaded operator time (Figs. 8/10/12) *)
-  | Return_result
+  | Return_result  (** hybrid result construction (Figs. 8/10/12) *)
   | Retry_attempt  (** one engine attempt (attr ["n"] is the retry index) *)
   | Fallback_hop  (** one rung of the degradation ladder *)
   | Breaker_event  (** opened / reclosed / fast-fail, as instant spans *)
@@ -95,11 +97,24 @@ val event : ?attrs:(string * string) list -> kind -> string -> unit
 val add_span :
   ?attrs:(string * string) list -> kind -> string -> start_ms:float -> dur_ms:float -> unit
 (** Records a manually-timed span under the current parent — for phases
-    measured out-of-band, e.g. the hybrid engine's staging vs native-op
-    split derived from one set of clock samples. *)
+    measured out-of-band, e.g. the hybrid engine's per-element staging
+    timers, summed over a drive and recorded once. *)
 
 val tracing : unit -> bool
 (** True when a trace is ambient on this Domain (and any trace is live). *)
+
+(** {1 Phase breakdown} *)
+
+val phases : ?under:span -> t -> (string * float) list
+(** The per-phase cost breakdown of a finished trace (Figs. 8/10/12).
+    Every [Execute], [Staging], [Native_op] and [Return_result] span is a
+    phase named after the span: each engine's [Execute] span (named after
+    the engine) and the hybrid's split inside it. Same-named spans add
+    up; pairs come in first-start order. Phases nest as their spans do,
+    so they are not disjoint: the hybrid's phases lie inside its
+    [Execute] phase. [under] restricts the fold to the subtree rooted at
+    that span (e.g. the completing [Retry_attempt] of a service
+    request). *)
 
 type context
 

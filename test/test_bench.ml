@@ -294,6 +294,56 @@ let test_sim_deterministic () =
   let c = m () in
   check_bool "hermetic wrt process history" true (a = c)
 
+(* ------------------------------------------------------------------ *)
+(* the Figs. 8/10/12 path: phases folded from a traced run *)
+
+let test_figure_phases () =
+  let prov = Suite.provider ~sf:0.002 () in
+  let params = Lq_tpch.Workloads.params ~sel:0.5 in
+  List.iter
+    (fun (name, (fig : Suite.breakdown)) ->
+      match Suite.profile_engine prov ~engine:fig.Suite.engine ~params fig.Suite.workload with
+      | None -> Alcotest.failf "%s: engine refused the workload" name
+      | Some phases ->
+        List.iter
+          (fun label ->
+            match List.assoc_opt label phases with
+            | Some ms -> check_bool (Printf.sprintf "%s: %s >= 0" name label) true (ms >= 0.0)
+            | None -> Alcotest.failf "%s: no %S phase" name label)
+          fig.Suite.phases)
+    [ ("fig8", Suite.fig8); ("fig10", Suite.fig10); ("fig12", Suite.fig12) ]
+
+(* The promoted JIT tier reports its execute phase like every engine. *)
+let test_jit_execute_phase () =
+  let module Backend = Lq_jit.Backend in
+  if not (Backend.cc_available ()) then print_endline "SKIPPED: no C compiler on PATH"
+  else begin
+    let env = [ ("LQ_JIT_MODE", "sync"); ("LQ_JIT", "on") ] in
+    let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) env in
+    let dir = Filename.temp_file "lq_bench_jit" ".cache" in
+    Sys.remove dir;
+    Unix.putenv "LQ_JIT_CACHE_DIR" dir;
+    Backend.reset_for_tests ();
+    List.iter (fun (k, v) -> Unix.putenv k v) env;
+    Fun.protect ~finally:(fun () ->
+        List.iter (fun (k, old) -> Unix.putenv k (Option.value old ~default:"")) saved)
+    @@ fun () ->
+    let engine = Lq_core.Engines.compiled_c_jit in
+    let exec_jit () = Lq_metrics.Counters.count Backend.counters "service/jit/exec_jit" in
+    let before = exec_jit () in
+    match
+      Suite.profile_engine (Suite.provider ~sf:0.002 ()) ~engine
+        ~params:(Lq_tpch.Workloads.params ~sel:0.5) Lq_tpch.Workloads.aggregation
+    with
+    | None -> Alcotest.fail "compiled-c-jit refused the aggregation workload"
+    | Some phases ->
+      check_bool "the traced run was served by the jit tier" true (exec_jit () > before);
+      check_bool "execute phase reported" true
+        (match List.assoc_opt engine.Lq_catalog.Engine_intf.name phases with
+        | Some ms -> ms >= 0.0
+        | None -> false)
+  end
+
 let () =
   Alcotest.run "bench"
     [
@@ -328,5 +378,10 @@ let () =
           Alcotest.test_case "dbgen seed-stable" `Quick test_dbgen_deterministic;
           Alcotest.test_case "shape keys byte-stable" `Quick test_shape_key_stable;
           Alcotest.test_case "sim backend bit-stable" `Quick test_sim_deterministic;
+        ] );
+      ( "breakdown",
+        [
+          Alcotest.test_case "figs 8/10/12 phases" `Quick test_figure_phases;
+          Alcotest.test_case "jit execute phase" `Quick test_jit_execute_phase;
         ] );
     ]

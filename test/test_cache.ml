@@ -6,7 +6,7 @@
 open Lq_value
 open Lq_expr.Dsl
 module Counters = Lq_metrics.Counters
-module Lru = Lq_core.Lru
+module Lru = Lq_lru.Lru
 module Query_cache = Lq_core.Query_cache
 module Result_cache = Lq_core.Result_cache
 module Provider = Lq_core.Provider
@@ -81,8 +81,7 @@ let test_lru_drop_where () =
 let fake_prepared ?(cost = 1.0) tag =
   {
     Lq_catalog.Engine_intf.execute =
-      (fun ?profile ~params () ->
-        ignore profile;
+      (fun ~params () ->
         ignore params;
         [ Value.Str tag ]);
     codegen_ms = cost;

@@ -188,7 +188,7 @@ let test_min_refuses_complex () =
     | exception Engine_intf.Unsupported _ -> true
     | _ -> false)
 
-(* --- profiled run exposes the paper's phases --- *)
+(* --- a traced run exposes the paper's phases --- *)
 
 let test_phase_breakdown () =
   let q =
@@ -197,9 +197,11 @@ let test_phase_breakdown () =
     |> group_by ~key:("s", v "s" $. "city")
          ~result:("g", record [ ("c", v "g" $. "Key"); ("n", count (v "g")) ])
   in
-  let profile = Lq_metrics.Profile.create () in
-  ignore (Lq_core.Provider.run prov ~engine:H.engine ~profile q);
-  let names = List.map fst (Lq_metrics.Profile.phases profile) in
+  let trace = Lq_trace.Trace.start () in
+  Lq_trace.Trace.with_trace trace (fun () ->
+      ignore (Lq_core.Provider.run prov ~engine:H.engine q));
+  Lq_trace.Trace.finish trace;
+  let names = List.map fst (Lq_trace.Trace.phases trace) in
   List.iter
     (fun phase -> check_bool ("phase " ^ phase) true (List.mem phase names))
     [ "Iterate data (C#)"; "Apply predicates (C#)"; "Data staging (C#)";

@@ -385,6 +385,42 @@ let test_loadgen_closed_loop () =
   check_bool "parameterized repeats hit the cache" true
     (stats.Lq_core.Query_cache.hits > 0)
 
+(* An open-loop submitter that falls behind its Poisson schedule must not
+   hide the delay: each request is timed from when it was due. Every send
+   here takes >= 5 ms ([params_of] sleeps) against a 1 ms mean gap, so
+   request i is sent >= 5(i+1) ms after the start while its due time is
+   the sum of i exponential gaps (mean i ms): the 40th is about 160 ms
+   late. With 40 samples p99 sits among the two latest requests, whose
+   lateness the schedule puts above 75 ms unless its first 38 gaps sum
+   past 115 ms (mean 38, sd ~6); the service answers each in well under
+   a millisecond, so the latency can only be that large by counting the
+   lateness. *)
+let test_loadgen_open_loop_counts_lateness () =
+  let cat = Lq_testkit.sales_catalog ~n:50 () in
+  let svc =
+    Service.create ~config:{ Service.default_config with domains = 1 } (Provider.create cat)
+  in
+  let workload =
+    [|
+      Loadgen.item "paris" q_paris ~params_of:(fun _ ->
+          Unix.sleepf 0.005;
+          []);
+    |]
+  in
+  let total = 40 in
+  let report = Loadgen.run ~workload (Loadgen.Open { rate_per_s = 1000.0; total }) svc in
+  Service.shutdown svc;
+  check_int "all completed" total report.Loadgen.completed;
+  let floor_ms = 60.0 in
+  check_bool
+    (Printf.sprintf "max lateness %.1f ms >= %.0f ms" report.Loadgen.max_lateness_ms floor_ms)
+    true
+    (report.Loadgen.max_lateness_ms >= floor_ms);
+  let p99 = Histogram.quantile report.Loadgen.latency 0.99 in
+  check_bool
+    (Printf.sprintf "latency p99 %.1f ms >= %.0f ms of lateness" p99 floor_ms)
+    true (p99 >= floor_ms)
+
 (* ------------------------------------------------------------------ *)
 (* the fault substrate: taxonomy, injection, breakers, governor *)
 
@@ -956,6 +992,8 @@ let () =
           Alcotest.test_case "multi-domain conservation" `Quick
             test_multi_domain_storm_conservation;
           Alcotest.test_case "loadgen closed loop" `Quick test_loadgen_closed_loop;
+          Alcotest.test_case "loadgen open loop counts lateness" `Quick
+            test_loadgen_open_loop_counts_lateness;
           Alcotest.test_case "seeded chaos" `Quick test_chaos_storm;
           Alcotest.test_case "guarded jit chaos" `Quick test_jit_guarded_chaos_storm;
           Alcotest.test_case "breaker spans match counters" `Quick

@@ -108,7 +108,6 @@ let test_q2_correlated_runs_compiled () =
       Lq_core.Engines.linq_to_objects;
       Lq_core.Engines.compiled_csharp;
       Lq_core.Engines.compiled_c;
-      Lq_core.Engines.sqlserver_native;
     ]
 
 let test_q1_parameter_variants () =

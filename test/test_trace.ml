@@ -1,12 +1,12 @@
 (* End-to-end tracing: span-tree well-formedness (unit + qcheck over
-   random span programs), the head-sampler and slow-trace ring, the
-   Chrome trace_event exporter (byte-stable golden + standalone
-   re-validation), per-engine differential invariants (one root, cache
-   hits skip codegen, hybrid staging/native split reconciles with the
-   profile, parallel partitions attribute to the right request), the
-   service-level span shapes (queue wait, retry attempts vs the retry
-   counter, fallback hops, the double-charge regression), and a
-   4-Domain storm asserting no cross-request span leakage. *)
+   random span programs), the phase fold, the head-sampler and
+   slow-trace ring, the Chrome trace_event exporter (byte-stable golden
+   + standalone re-validation), per-engine differential invariants (one
+   root, cache hits skip codegen, parallel partitions attribute to the
+   right request), the service-level span shapes (queue wait, retry
+   attempts vs the retry counter, fallback hops, the double-charge
+   regression), and a 4-Domain storm asserting no cross-request span
+   leakage. *)
 
 open Lq_expr.Dsl
 module Trace = Lq_trace.Trace
@@ -20,7 +20,6 @@ module Service = Lq_service.Service
 module Request = Lq_service.Request
 module Future = Lq_service.Future
 module Svc_metrics = Lq_service.Svc_metrics
-module Profile = Lq_metrics.Profile
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -225,6 +224,27 @@ let test_tree_printer () =
       check_bool (Printf.sprintf "tree shows %S" needle) true (contains s needle))
     [ "Q1"; "queue"; "attempt"; "stage:lineitem#1"; "Aggregation (C)"; "└─" ]
 
+(* The phase fold: phase-kind spans only, same names summed, first-start
+   order, and [under] confined to one subtree. *)
+let test_phase_fold () =
+  let tr = Trace.start ~clock:(ticker ()) ~label:"fold" () in
+  Trace.with_trace tr (fun () ->
+      for n = 0 to 1 do
+        Trace.with_span
+          ~attrs:[ ("n", string_of_int n) ]
+          Trace.Retry_attempt "attempt"
+          (fun () ->
+            Trace.with_span Trace.Optimize "optimize" (fun () -> ());
+            Trace.with_span Trace.Execute "engine" (fun () ->
+                Trace.with_span Trace.Staging "stage" (fun () -> ())))
+      done);
+  Trace.finish tr;
+  let phases = Alcotest.(check (list (pair string (float 1e-9)))) in
+  phases "whole trace" [ ("engine", 6.0); ("stage", 2.0) ] (Trace.phases tr);
+  let last = List.nth (spans_of_kind Trace.Retry_attempt tr) 1 in
+  phases "under the second attempt" [ ("engine", 3.0); ("stage", 1.0) ]
+    (Trace.phases ~under:last tr)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome exporter: byte-stable golden + standalone re-validation *)
 
@@ -304,12 +324,12 @@ let test_chrome_checker_rejects () =
 
 let q_paris = source "sales" |> where "s" (v "s" $. "city" =: str "Paris")
 
-let traced_run ?profile prov ~engine q =
+let traced_run prov ~engine q =
   let tr = Trace.start ~label:engine.Lq_catalog.Engine_intf.name () in
   let rows =
     Fun.protect
       ~finally:(fun () -> Trace.finish tr)
-      (fun () -> Trace.with_trace tr (fun () -> Provider.run prov ~engine ?profile q))
+      (fun () -> Trace.with_trace tr (fun () -> Provider.run prov ~engine q))
   in
   (tr, rows)
 
@@ -348,34 +368,6 @@ let test_engine_invariants () =
            (fun s -> attr "outcome" s = Some "hit")
            (spans_of_kind Trace.Cache_lookup warm)))
     Engines.all
-
-let test_hybrid_trace_reconciles_with_profile () =
-  let cat = Lq_tpch.Dbgen.load ~sf:0.005 () in
-  let prov = Provider.create cat in
-  let profile = Profile.create () in
-  let tr, _rows =
-    traced_run ~profile prov ~engine:Engines.hybrid
-      (source "lineitem" |> Lq_tpch.Queries.q1_grouping)
-  in
-  check_wf "hybrid Q1" tr;
-  let staging = spans_of_kind Trace.Staging tr in
-  let native = spans_of_kind Trace.Native_op tr in
-  let ret = spans_of_kind Trace.Return_result tr in
-  check_bool "staging spans present" true (staging <> []);
-  check_int "one native-op span" 1 (List.length native);
-  check_int "one return-result span" 1 (List.length ret);
-  check_bool "native-op span is distinct from staging" true
-    (List.for_all (fun (n : Trace.span) ->
-         List.for_all (fun (s : Trace.span) -> n.Trace.id <> s.Trace.id) staging)
-       native);
-  let sum = List.fold_left (fun a s -> a +. s.Trace.dur_ms) 0.0 in
-  let span_total = sum staging +. sum native +. sum ret in
-  let profile_total = Profile.total_ms profile in
-  check_bool
-    (Printf.sprintf "spans (%.3f ms) reconcile with profile (%.3f ms) within 5%%"
-       span_total profile_total)
-    true
-    (Float.abs (span_total -. profile_total) <= 0.05 *. Float.max span_total profile_total)
 
 let test_parallel_partition_attribution () =
   let cat = Lq_testkit.sales_catalog ~n:300 () in
@@ -421,8 +413,8 @@ let response_trace label (resp : Request.response) =
   | Some tr -> tr
   | None -> Alcotest.failf "%s: no trace on the response" label
 
-let run_traced svc ?label ?engine ?profile q =
-  match Service.run_sync svc ?label ?engine ?profile ~trace:true q with
+let run_traced svc ?label ?engine q =
+  match Service.run_sync svc ?label ?engine ~trace:true q with
   | Ok resp -> resp
   | Error r -> Alcotest.failf "admission failed: %s" (Service.rejection_to_string r)
 
@@ -516,11 +508,13 @@ let test_retry_spans_match_counter () =
   check_int "two of them are retries" 2 (List.length retries);
   Service.shutdown svc
 
-(* The double-charge regression (hybrid staging charged to a request
-   profile by an attempt that then failed): with a fault injected after
-   the native call, every hybrid attempt stages and dies, the fallback
-   completes — and the request profile must contain only the completing
-   attempt's phases, while the trace still shows the dead attempts'
+let managed_phases = [ "Iterate data (C#)"; "Apply predicates (C#)"; "Data staging (C#)" ]
+
+(* The double-charge regression (hybrid staging counted for a request by
+   an attempt that then failed): with a fault injected after the native
+   call, every hybrid attempt stages and dies, the fallback completes —
+   and the completing attempt's phases hold only the fallback engine's
+   execution, while the whole trace still shows the dead attempts'
    staging spans. *)
 let test_hybrid_failed_attempt_not_double_charged () =
   match Lq_fault.Inject.parse_spec "seed=5;hybrid/result=1.0:transient" with
@@ -529,8 +523,7 @@ let test_hybrid_failed_attempt_not_double_charged () =
     Lq_fault.Inject.enable spec;
     Fun.protect ~finally:Lq_fault.Inject.disable @@ fun () ->
     let _, svc = make_service () in
-    let profile = Profile.create () in
-    let resp = run_traced svc ~engine:Engines.hybrid ~profile q_paris in
+    let resp = run_traced svc ~engine:Engines.hybrid q_paris in
     (match resp.Request.outcome with
     | Request.Completed { degraded = true; engine = "linq-to-objects"; _ } -> ()
     | o -> Alcotest.failf "expected degraded completion, got %s" (Request.outcome_kind o));
@@ -538,38 +531,42 @@ let test_hybrid_failed_attempt_not_double_charged () =
     check_wf "hybrid regression trace" tr;
     check_bool "the dead hybrid attempts did stage (trace shows it)" true
       (spans_of_kind Trace.Staging tr <> []);
-    let phases = List.map fst (Profile.phases profile) in
-    check_bool "no hybrid staging charged to the request profile" false
-      (List.exists
-         (fun name ->
-           List.mem name
-             [ "Data staging (C#)"; "Iterate data (C#)"; "Apply predicates (C#)" ])
-         phases);
-    check_bool "the completing interpreter attempt was charged" true
-      (List.mem "Iterate pipeline (managed)" phases);
+    let phases = List.map fst (Request.phases resp) in
+    check_bool "no hybrid staging phase under the completing attempt" false
+      (List.exists (fun name -> List.mem name managed_phases) phases);
+    check_bool "the completing interpreter attempt has its execute phase" true
+      (List.mem "linq-to-objects" phases);
     Service.shutdown svc
 
-(* And the positive half: a clean hybrid run charges its phases exactly
-   once, and they reconcile with the trace's execute wall time. *)
+(* And the positive half: a clean hybrid run records each phase once per
+   staged source, and its phases fit inside the execute wall time. *)
 let test_hybrid_clean_run_charged_once () =
   let _, svc = make_service () in
-  let profile = Profile.create () in
-  let resp = run_traced svc ~engine:Engines.hybrid ~profile q_paris in
+  let resp = run_traced svc ~engine:Engines.hybrid q_paris in
   (match resp.Request.outcome with
   | Request.Completed { degraded = false; _ } -> ()
   | o -> Alcotest.failf "expected clean completion, got %s" (Request.outcome_kind o));
   let tr = response_trace "hybrid clean" resp in
-  let phases = Profile.phases profile in
-  check_bool "staging charged" true (List.mem_assoc "Data staging (C#)" phases);
-  let execs = spans_of_kind Trace.Execute tr in
-  check_int "one execute span" 1 (List.length execs);
-  let wall = (List.hd execs).Trace.dur_ms in
-  let profile_total = Profile.total_ms profile in
+  check_wf "hybrid clean trace" tr;
+  check_int "one staging span per managed phase" (List.length managed_phases)
+    (List.length (spans_of_kind Trace.Staging tr));
+  let phases = Request.phases resp in
+  check_bool "staging recorded" true (List.mem_assoc "Data staging (C#)" phases);
+  let wall =
+    match List.assoc_opt Engines.hybrid.Lq_catalog.Engine_intf.name phases with
+    | Some ms -> ms
+    | None -> Alcotest.fail "no execute phase for the hybrid"
+  in
+  let split =
+    List.fold_left
+      (fun acc (name, ms) ->
+        if name = Engines.hybrid.Lq_catalog.Engine_intf.name then acc else acc +. ms)
+      0.0 phases
+  in
   check_bool
-    (Printf.sprintf "profile total (%.3f ms) within execute wall (%.3f ms) + 5%%"
-       profile_total wall)
+    (Printf.sprintf "hybrid phases (%.3f ms) within execute wall (%.3f ms) + 5%%" split wall)
     true
-    (profile_total <= wall *. 1.05 +. 0.5);
+    (split <= wall *. 1.05 +. 0.5);
   Service.shutdown svc
 
 (* ------------------------------------------------------------------ *)
@@ -655,6 +652,7 @@ let () =
           Alcotest.test_case "sampler" `Quick test_sampler;
           Alcotest.test_case "slow-trace ring" `Quick test_ring;
           Alcotest.test_case "tree printer" `Quick test_tree_printer;
+          Alcotest.test_case "phase fold" `Quick test_phase_fold;
         ] );
       ( "chrome export",
         [
@@ -665,8 +663,6 @@ let () =
       ( "engines",
         [
           Alcotest.test_case "per-engine invariants" `Quick test_engine_invariants;
-          Alcotest.test_case "hybrid trace reconciles with profile" `Quick
-            test_hybrid_trace_reconciles_with_profile;
           Alcotest.test_case "parallel partition attribution" `Quick
             test_parallel_partition_attribution;
         ] );
