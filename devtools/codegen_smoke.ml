@@ -63,12 +63,12 @@ let () =
   let stubs = ref 0 in
   List.iter
     (fun (name, q) ->
-      match Lq_plan.Lower.lower cat q with
+      match Lq_native.Loop.lower cat (Lq_plan.Lower.lower cat q) with
       | exception _ ->
         incr stubs;
         Printf.printf "  %-8s stub (does not lower)\n" name
-      | plan -> (
-        match Lq_native.Codegen_c.emit_plan cat plan with
+      | ir -> (
+        match Lq_native.Codegen_c.emit_plan ir with
         | exception Lq_native.Codegen_c.Unsupported_c reason ->
           incr stubs;
           Printf.printf "  %-8s stub (%s)\n" name reason

@@ -3,6 +3,7 @@ module Ast = Lq_expr.Ast
 module Catalog = Lq_catalog.Catalog
 module Engine_intf = Lq_catalog.Engine_intf
 module Cexpr = Lq_compiled.Cexpr
+module Loop = Lq_native.Loop
 module Nplan = Lq_native.Nplan
 module Split = Lq_plan.Staging
 module Layout = Lq_storage.Layout
@@ -386,17 +387,20 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
         in
         (rewritten, `Lookup_tree (List.map fst bindings, cresult))
     in
-    let override name =
-      List.find_opt (fun st -> String.equal st.spec.Split.occ name) staged
-      |> Option.map (fun st ->
-             {
-               Nplan.ext_store = st.store;
-               ext_drive = (fun emit -> !(st.driver_cell) emit);
-             })
-    in
-    let nplan =
-      try Nplan.compile ?trace ~override cat rewritten with
-      | Catalog.Not_flat t -> unsupported "source %S is not flat" t
+    (* One loop IR serves the interpreted program and the C listing. *)
+    let ir, nplan =
+      try
+        let staged_store occ =
+          List.find_opt (fun st -> String.equal st.spec.Split.occ occ) staged
+          |> Option.map (fun st -> st.store)
+        in
+        let ir = Loop.lower ~staged:staged_store cat (Lq_plan.Lower.lower cat rewritten) in
+        let drive occ =
+          let st = staged_occ occ in
+          fun emit -> !(st.driver_cell) emit
+        in
+        (ir, Nplan.compile ?trace ~drive ir)
+      with Catalog.Not_flat t -> unsupported "source %S is not flat" t
     in
     let codegen_ms = Profile.now_ms () -. start_ms in
     (* --- Execution --- *)
@@ -598,7 +602,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
                            ~name:(st.spec.Split.source ^ "_staged_t")
                            (Rowstore.layout st.store)))
                     staged);
-               Lq_native.Codegen_c.emit cat rewritten;
+               Lq_native.Codegen_c.emit_lowered ir;
              ]);
     }
   in

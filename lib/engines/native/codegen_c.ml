@@ -1,8 +1,7 @@
-(* Real C emission for lowered plans (§5.1, closed loop).
+(* The JIT tier's C printer (§5.1, closed loop).
 
-   [emit_plan] walks the same [Lq_plan.Plan.t] the interpreted native
-   backend compiles and renders a self-contained C translation unit with
-   one entry point:
+   [emit_plan] prints a loop IR program ([Loop.t]) as a self-contained C
+   translation unit with one entry point:
 
      int64_t lq_query(const unsigned char **srcs, const int64_t *nrows,
                       const int64_t *ip, const double *fp,
@@ -11,33 +10,29 @@
 
    - [srcs]/[nrows]: one raw row page (Rowstore data) + row count per
      entry of [program.scan_tables], in emission order;
-   - [ip]/[fp]: integer and float parameter registers, in
-     [program.int_params]/[program.float_params] order. String constants
-     and parameters arrive as dictionary codes interned by the caller at
-     bind time — codes are process state and are never baked into the
-     object;
+   - [ip]/[fp]: the IR's integer and float registers, bound by
+     [Loop.bind]. String constants and parameters arrive as dictionary
+     codes — codes are process state and are never baked into the object;
    - [db]/[dofs]: a read-only dictionary snapshot (concatenated bytes +
      int32 offsets) for ordering, LIKE and Length, taken after binding;
    - [out]: a caller-owned result buffer of [cap] rows, packed with the
-     [Layout.make program.out_fields] offsets. The function always
-     returns the TOTAL row count; rows past [cap] are counted but not
-     written, so the caller grows the buffer and re-invokes.
+     [Layout.make program.out_fields] offsets. The function returns the
+     TOTAL row count; rows past [cap] are counted but not written, so the
+     caller grows the buffer and re-invokes.
 
-   Semantics mirror [Nplan] closure by closure: the same expression
-   typing and coercions as [Nexpr.compile], dense hash slots in
-   first-touch insertion order, join chains in attach order, sort
-   comparators with the index tiebreak, limits as stop flags. On any
-   plan the mirror cannot carry, [emit_plan] raises [Unsupported_c] and
-   the JIT keeps serving the shape from the interpreted tier.
-   Allocation failures longjmp to a single exit that frees the per-call
-   arena and returns -1. *)
+   The IR fixed every type; the printer only chooses C spellings. Hash
+   slots are dense in first-touch insertion order and join chains keep
+   attach order, like the interpreter's [Ht]; sort comparators end with
+   the index tiebreak; limits are stop flags. An IR node with no C form
+   raises [Unsupported_c] and the JIT keeps serving the shape from the
+   interpreted tier. Allocation failures longjmp to a single exit that
+   frees the per-call arena and returns -1; a zero integer divisor
+   returns -2 the same way. *)
 
 open Lq_value
-module Ast = Lq_expr.Ast
-module P = Lq_plan.Plan
+module L = Loop
 module Layout = Lq_storage.Layout
 module Ftype = Lq_storage.Ftype
-module Catalog = Lq_catalog.Catalog
 
 exception Unsupported_c of string
 
@@ -46,44 +41,33 @@ let spf = Printf.sprintf
 
 (* The entry-point contract above; bump when it changes so cached .so
    files from older emitters are never dlopened. *)
-let abi_version = 1
-
-type cparam =
-  | Named of string  (** a query parameter, bound by name at execute *)
-  | Str_const of string  (** a string literal, interned to a code at execute *)
+let abi_version = 2
 
 type program = {
   c_source : string;
   scan_tables : string list;
-  int_params : cparam list;
+  int_params : L.reg list;
   float_params : string list;
   out_fields : (string * Vtype.t) list;
   out_scalar : bool;
   needs_dict : bool;
 }
 
-(* --- C expressions and elements, mirroring Nexpr.t / Nexpr.elem ----- *)
-
-(* [CI] is an int64_t-valued C expression carrying the host type it
-   decodes to (Int / Date / Bool / String dict code); [CF] a double;
-   [CB] an int 0/1. All are pure reads — duplication is safe. *)
-type cexp = CI of string * Vtype.t | CF of string | CB of string
-
-type celem =
-  | CRow of string * Layout.t  (** base-pointer variable over a row page *)
-  | CFields of (string * cexp) list
-  | CScalar of cexp
+(* Where the current row of a relation lives: a row-page pointer, or the
+   column arrays of a spill indexed by a row variable. *)
+type view = Page of string | Spilled of string * string
 
 type ctx = {
+  ir : L.t;
   body : Buffer.t;
   aux : Buffer.t;  (** per-operator comparator functions, before lq_query *)
   mutable indent : int;
   mutable freshc : int;
-  mutable islots : (cparam * int) list;  (** reversed insertion order *)
-  mutable fslots : (string * int) list;
   mutable scans : string list;  (** reversed *)
   mutable needs_dict : bool;
-  cat : Catalog.t;
+  views : (int, view) Hashtbl.t;
+  groups : (int, string * int * L.acc array) Hashtbl.t;
+      (** prefix, key part count, accumulators *)
 }
 
 let fresh c p =
@@ -100,22 +84,6 @@ let line c fmt =
 
 let push c = c.indent <- c.indent + 1
 let pop c = c.indent <- c.indent - 1
-
-let islot c p =
-  match List.assoc_opt p c.islots with
-  | Some k -> k
-  | None ->
-    let k = List.length c.islots in
-    c.islots <- (p, k) :: c.islots;
-    k
-
-let fslot c name =
-  match List.assoc_opt name c.fslots with
-  | Some k -> k
-  | None ->
-    let k = List.length c.fslots in
-    c.fslots <- (name, k) :: c.fslots;
-    k
 
 let scan_index c table =
   let k = List.length c.scans in
@@ -138,844 +106,406 @@ let c_string_lit s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-(* --- typed accessors, mirroring Nexpr ------------------------------- *)
+(* --- expressions -------------------------------------------------- *)
 
-let vty_of = function
-  | CI (_, ty) -> ty
-  | CF _ -> Vtype.Float
-  | CB _ -> Vtype.Bool
+let read_field base (f : Layout.field) =
+  match f.Layout.ftype with
+  | Ftype.F64 -> spf "rd_f64(%s + %d)" base f.Layout.offset
+  | Ftype.I64 -> spf "rd_i64(%s + %d)" base f.Layout.offset
+  | Ftype.I32 | Ftype.Date32 | Ftype.Str32 -> spf "rd_i32(%s + %d)" base f.Layout.offset
+  | Ftype.Bool8 -> spf "((int64_t)%s[%d])" base f.Layout.offset
 
-let as_int = function
-  | CI (code, _) -> code
-  | CB code -> code (* comparisons and && yield int 0/1 *)
-  | CF _ -> unsupported "expected an integer-typed C expression"
+let arith_op = function
+  | L.Add -> "+"
+  | L.Sub -> "-"
+  | L.Mul -> "*"
+  | L.Div -> "/"
+  | L.Mod -> "%"
 
-let as_float = function
-  | CF code -> code
-  | CI (code, Vtype.Int) -> spf "((double)%s)" code
-  | CI (_, ty) -> unsupported "cannot use %s as float (C)" (Vtype.to_string ty)
-  | CB _ -> unsupported "cannot use bool as float (C)"
+let cmp_op = function
+  | L.Eq -> "=="
+  | L.Ne -> "!="
+  | L.Lt -> "<"
+  | L.Le -> "<="
+  | L.Gt -> ">"
+  | L.Ge -> ">="
 
-let as_bool = function
-  | CB code -> code
-  | CI (code, Vtype.Bool) -> spf "(%s != 0)" code
-  | CI (_, ty) -> unsupported "expected bool, found %s (C)" (Vtype.to_string ty)
-  | CF _ -> unsupported "expected bool, found float (C)"
+(* C conditions are int 0/1, so a [B] value is already its integer image
+   wherever an int64 is expected. *)
+let rec code c (e : L.expr) =
+  match e.L.node with
+  | L.Int_lit i -> spf "INT64_C(%d)" i
+  | L.Bool_lit b -> if b then "1" else "0"
+  | L.Float_lit f ->
+    if not (Float.is_finite f) then unsupported "non-finite float constant (C)";
+    spf "%h" f
+  | L.Reg k -> (
+    match e.L.ty with
+    | L.F -> spf "fp[%d]" k
+    | L.B -> spf "(ip[%d] != 0)" k
+    | L.I _ -> spf "ip[%d]" k)
+  | L.Cell _ -> unsupported "sub-query evaluated per execution (C backend)"
+  | L.Col (rel, col) -> (
+    match Hashtbl.find c.views rel with
+    | Page base -> read_field base (Layout.field_at c.ir.L.rels.(rel) col)
+    | Spilled (pfx, row) -> spf "%s_c%d[%s]" pfx col row)
+  | L.Key (g, i) -> (
+    let pfx, np, _ = Hashtbl.find c.groups g in
+    let part = spf "%s_h.keys[%s_s * %d + %d]" pfx pfx np i in
+    match e.L.ty with
+    | L.F -> spf "lq_keyf(%s)" part
+    | L.B -> spf "(%s != 0)" part
+    | L.I _ -> part)
+  | L.Acc (g, i) -> (
+    let pfx, _, accs = Hashtbl.find c.groups g in
+    match accs.(i) with
+    | L.Count -> spf "%s_cnt[%s_s]" pfx pfx
+    | L.Avg _ -> spf "(%s_a%d[%s_s] / (double)%s_cnt[%s_s])" pfx i pfx pfx pfx
+    | L.Sum _ | L.Min_max _ -> spf "%s_a%d[%s_s]" pfx i pfx)
+  | L.To_float a -> spf "((double)%s)" (code c a)
+  | L.To_bool a -> spf "(%s != 0)" (code c a)
+  | L.Neg a -> spf "(-%s)" (code c a)
+  | L.Not a -> spf "(!%s)" (code c a)
+  | L.And (a, b) -> spf "(%s && %s)" (code c a) (code c b)
+  | L.Or (a, b) -> spf "(%s || %s)" (code c a) (code c b)
+  | L.Arith (op, a, b) -> (
+    match (e.L.ty, op) with
+    (* C99 [/] and [%] truncate toward zero like OCaml's (/) and (mod);
+       the helpers trap a zero divisor, which OCaml raises on. *)
+    | L.I _, L.Div -> spf "lq_idiv(&A, %s, %s)" (code c a) (code c b)
+    | L.I _, L.Mod -> spf "lq_imod(&A, %s, %s)" (code c a) (code c b)
+    | L.F, L.Mod -> spf "fmod(%s, %s)" (code c a) (code c b) (* = OCaml Float.rem *)
+    | _ -> spf "(%s %s %s)" (code c a) (arith_op op) (code c b))
+  | L.Cmp (op, L.By_string, a, b) when op <> L.Eq && op <> L.Ne ->
+    c.needs_dict <- true;
+    spf "(lq_strcmp(db, dofs, %s, %s) %s 0)" (code c a) (code c b) (cmp_op op)
+  (* NaN-free data: IEEE compare agrees with OCaml Float.compare. *)
+  | L.Cmp (op, _, a, b) -> spf "(%s %s %s)" (code c a) (cmp_op op) (code c b)
+  | L.If (cond, a, b) -> spf "(%s ? %s : %s)" (code c cond) (code c a) (code c b)
+  | L.Like (s, pattern) ->
+    c.needs_dict <- true;
+    spf "lq_like_code(db, dofs, %s, %d, 0, 0, %s)" (c_string_lit pattern)
+      (String.length pattern) (code c s)
+  | L.Like_param { subject; pattern; lead; trail } ->
+    c.needs_dict <- true;
+    spf "lq_like_dyn(db, dofs, %s, %d, %d, %s)" (code c pattern) (Bool.to_int lead)
+      (Bool.to_int trail) (code c subject)
+  | L.Case _ -> unsupported "string interning call (the C dictionary is read-only)"
+  | L.Length a ->
+    c.needs_dict <- true;
+    let s = code c a in
+    spf "((int64_t)(dofs[%s + 1] - dofs[%s]))" s s
+  | L.Abs a -> (
+    match e.L.ty with
+    | L.F -> spf "fabs(%s)" (code c a)
+    | _ -> spf "lq_iabs(%s)" (code c a))
+  | L.Year a -> spf "lq_year(%s)" (code c a)
+  | L.Add_days (d, n) -> spf "(%s + %s)" (code c d) (code c n)
 
 (* One int64 hash part per field: float bits fit a whole part here
    (unlike the OCaml backend's two 63-bit halves); equality on the bit
    image matches Ht's two-part equality exactly. *)
-let key_part = function
-  | CI (code, _) -> code
-  | CB code -> spf "((int64_t)%s)" code
-  | CF code -> spf "lq_fkey(%s)" code
+let key_part c (e : L.expr) =
+  match e.L.ty with
+  | L.I _ -> code c e
+  | L.B -> spf "((int64_t)%s)" (code c e)
+  | L.F -> spf "lq_fkey(%s)" (code c e)
 
-let read_field base (f : Layout.field) =
-  match f.Layout.ftype with
-  | Ftype.F64 -> CF (spf "rd_f64(%s + %d)" base f.Layout.offset)
-  | Ftype.I64 -> CI (spf "rd_i64(%s + %d)" base f.Layout.offset, f.Layout.vty)
-  | Ftype.I32 | Ftype.Date32 | Ftype.Str32 ->
-    CI (spf "rd_i32(%s + %d)" base f.Layout.offset, f.Layout.vty)
-  | Ftype.Bool8 ->
-    CI (spf "((int64_t)%s[%d])" base f.Layout.offset, f.Layout.vty)
+let c_type (e : L.expr) = if e.L.ty = L.F then "double" else "int64_t"
 
-let celem_fields = function
-  | CRow (base, layout) ->
-    Array.to_list (Layout.fields layout)
-    |> List.map (fun (f : Layout.field) -> (f.Layout.name, read_field base f))
-  | CFields fs -> fs
-  | CScalar t -> [ (Nexpr.scalar_field, t) ]
-
-(* --- expression compilation, mirroring Nexpr.compile ---------------- *)
-
-type pre = T of cexp | Pp of string
-
-let force c = function
-  | T t -> t
-  | Pp name -> CI (spf "ip[%d]" (islot c (Named name)), Vtype.Int)
-
-let coerce_like c pre ~like =
-  match pre with
-  | T t -> t
-  | Pp name -> (
-    match like with
-    | CF _ -> CF (spf "fp[%d]" (fslot c name))
-    | CI (_, ty) -> CI (spf "ip[%d]" (islot c (Named name)), ty)
-    | CB _ -> CB (spf "(ip[%d] != 0)" (islot c (Named name))))
-
-let static_string (e : Ast.expr) =
-  match e with Ast.Const (Value.Str s) -> Some s | _ -> None
-
-let cmp_op (op : Ast.binop) =
-  match op with
-  | Ast.Eq -> "=="
-  | Ast.Ne -> "!="
-  | Ast.Lt -> "<"
-  | Ast.Le -> "<="
-  | Ast.Gt -> ">"
-  | Ast.Ge -> ">="
-  | _ -> assert false
-
-let no_agg _ _ _ = unsupported "aggregate outside a group context (C)"
-let no_subquery _ = unsupported "nested sub-query (C backend)"
-
-let compile c ~env ?(on_agg = no_agg) ?(on_subquery = no_subquery) expr : cexp =
-  let rec go (e : Ast.expr) : pre =
-    match e with
-    | Ast.Const (Value.Int i) -> T (CI (spf "INT64_C(%d)" i, Vtype.Int))
-    | Ast.Const (Value.Date d) -> T (CI (spf "INT64_C(%d)" d, Vtype.Date))
-    | Ast.Const (Value.Bool b) -> T (CB (if b then "1" else "0"))
-    | Ast.Const (Value.Float f) ->
-      if not (Float.is_finite f) then
-        unsupported "non-finite float constant (C)";
-      T (CF (spf "%h" f))
-    | Ast.Const (Value.Str s) ->
-      (* Dictionary codes are process state: route the literal through a
-         synthetic integer register, interned by the caller at bind
-         time. *)
-      T (CI (spf "ip[%d]" (islot c (Str_const s)), Vtype.String))
-    | Ast.Const v -> unsupported "constant %s (C)" (Value.to_string v)
-    | Ast.Param name -> Pp name
-    | Ast.Var name -> (
-      match List.assoc_opt name env with
-      | Some (CScalar t) -> T t
-      | Some (CRow _ | CFields _) ->
-        unsupported "whole-element use of %S (C backend reads scalars)" name
-      | None -> unsupported "unbound variable %S (C)" name)
-    | Ast.Member (Ast.Var name, field) -> (
-      match List.assoc_opt name env with
-      | Some (CRow (base, layout)) -> (
-        match Layout.field_index layout field with
-        | Some i -> T (read_field base (Layout.field_at layout i))
-        | None -> unsupported "row has no member %S (C)" field)
-      | Some (CFields fields) -> (
-        match List.assoc_opt field fields with
-        | Some t -> T t
-        | None -> unsupported "element has no member %S (C)" field)
-      | Some (CScalar _) -> unsupported "member %S of a scalar (C)" field
-      | None -> unsupported "unbound variable %S (C)" name)
-    | Ast.Member (_, field) ->
-      unsupported "nested member access .%s (flat C data only)" field
-    | Ast.Unop (Ast.Neg, e) -> (
-      match force c (go e) with
-      | CI (code, Vtype.Int) -> T (CI (spf "(-%s)" code, Vtype.Int))
-      | CF code -> T (CF (spf "(-%s)" code))
-      | _ -> unsupported "negation of non-numeric (C)")
-    | Ast.Unop (Ast.Not, e) -> T (CB (spf "(!%s)" (as_bool (force c (go e)))))
-    | Ast.Binop (Ast.And, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (CB (spf "(%s && %s)" fa fb))
-    | Ast.Binop (Ast.Or, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (CB (spf "(%s || %s)" fa fb))
-    | Ast.Binop (op, a, b) ->
-      let pa = go a and pb = go b in
-      let ta, tb =
-        match (pa, pb) with
-        | T ta, T tb -> (ta, tb)
-        | T ta, (Pp _ as pb) -> (ta, coerce_like c pb ~like:ta)
-        | (Pp _ as pa), T tb -> (coerce_like c pa ~like:tb, tb)
-        | (Pp _ as pa), (Pp _ as pb) -> (
-          match op with
-          | Ast.Div | Ast.Mod ->
-            unsupported "integer-or-float division of two parameters (C)"
-          | _ ->
-            let like = CF "0.0" in
-            (coerce_like c pa ~like, coerce_like c pb ~like))
-      in
-      compile_binop op ta tb
-    | Ast.If (cond, th, el) -> (
-      let fc = as_bool (force c (go cond)) in
-      let pt = go th and pe = go el in
-      let tt, te =
-        match (pt, pe) with
-        | T a, T b -> (a, b)
-        | T a, (Pp _ as pb) -> (a, coerce_like c pb ~like:a)
-        | (Pp _ as pa), T b -> (coerce_like c pa ~like:b, b)
-        | (Pp _ as pa), (Pp _ as pb) -> (force c pa, force c pb)
-      in
-      match (tt, te) with
-      | CI (f1, ty1), CI (f2, ty2) when Vtype.equal ty1 ty2 ->
-        T (CI (spf "(%s ? %s : %s)" fc f1 f2, ty1))
-      | CB f1, CB f2 -> T (CB (spf "(%s ? %s : %s)" fc f1 f2))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        let f1 = as_float tt and f2 = as_float te in
-        T (CF (spf "(%s ? %s : %s)" fc f1 f2))
-      | _ -> unsupported "if branches of mismatched C types")
-    | Ast.Call (f, args) -> T (compile_call f args)
-    | Ast.Agg (kind, src, sel) -> T (on_agg kind src sel)
-    | Ast.Subquery q -> T (on_subquery q)
-    | Ast.Record_of _ ->
-      unsupported "object construction inside a C scalar expression"
-  and compile_binop op ta tb : pre =
-    match op with
-    | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
-      match (ta, tb) with
-      | CI (fa, Vtype.Int), CI (fb, Vtype.Int) ->
-        let code =
-          match op with
-          | Ast.Add -> spf "(%s + %s)" fa fb
-          | Ast.Sub -> spf "(%s - %s)" fa fb
-          | Ast.Mul -> spf "(%s * %s)" fa fb
-          (* C99 [/] and [%] truncate toward zero: OCaml (/) and (mod). *)
-          | Ast.Div -> spf "(%s / %s)" fa fb
-          | Ast.Mod -> spf "(%s %% %s)" fa fb
-          | _ -> assert false
-        in
-        T (CI (code, Vtype.Int))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        let fa = as_float ta and fb = as_float tb in
-        let code =
-          match op with
-          | Ast.Add -> spf "(%s + %s)" fa fb
-          | Ast.Sub -> spf "(%s - %s)" fa fb
-          | Ast.Mul -> spf "(%s * %s)" fa fb
-          | Ast.Div -> spf "(%s / %s)" fa fb
-          | Ast.Mod -> spf "fmod(%s, %s)" fa fb (* = OCaml Float.rem *)
-          | _ -> assert false
-        in
-        T (CF code)
-      | _ ->
-        unsupported "arithmetic on %s and %s (C)"
-          (Vtype.to_string (vty_of ta))
-          (Vtype.to_string (vty_of tb)))
-    | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      match (ta, tb) with
-      | CI (fa, Vtype.String), CI (fb, Vtype.String) -> (
-        match op with
-        | Ast.Eq -> T (CB (spf "(%s == %s)" fa fb))
-        | Ast.Ne -> T (CB (spf "(%s != %s)" fa fb))
-        | _ ->
-          (* Ordering decodes: dict codes are not order-preserving. *)
-          c.needs_dict <- true;
-          T (CB (spf "(lq_strcmp(db, dofs, %s, %s) %s 0)" fa fb (cmp_op op))))
-      | CI (fa, ty1), CI (fb, ty2) when Vtype.equal ty1 ty2 ->
-        T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        (* NaN-free data: IEEE compare agrees with OCaml Float.compare. *)
-        let fa = as_float ta and fb = as_float tb in
-        T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | CB fa, CB fb -> T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | _ ->
-        unsupported "comparison between %s and %s (C)"
-          (Vtype.to_string (vty_of ta))
-          (Vtype.to_string (vty_of tb)))
-    | Ast.And | Ast.Or -> assert false
-  and compile_call f args : cexp =
-    let force_string e = coerce_like c (go e) ~like:(CI ("0", Vtype.String)) in
-    let force_date e = coerce_like c (go e) ~like:(CI ("0", Vtype.Date)) in
-    let string_code t =
-      match t with
-      | CI (code, Vtype.String) -> code
-      | _ -> unsupported "expected a string-typed C expression"
-    in
-    match (f, args) with
-    | ( (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like),
-        [ subject; patt ] ) -> (
-      c.needs_dict <- true;
-      let fs = string_code (force_string subject) in
-      let pattern_of s =
-        match f with
-        | Ast.Starts_with -> s ^ "%"
-        | Ast.Ends_with -> "%" ^ s
-        | Ast.Contains -> "%" ^ s ^ "%"
-        | _ -> s
-      in
-      match static_string patt with
-      | Some s ->
-        let pattern = pattern_of s in
-        CB
-          (spf "lq_like_code(db, dofs, %s, %d, 0, 0, %s)"
-             (c_string_lit pattern) (String.length pattern) fs)
-      | None ->
-        (* pattern ^ "%" ≡ matcher with an implicit trailing %, and
-           "%" ^ pattern ≡ an implicit leading % — the affixes without
-           runtime string concatenation. *)
-        let lead, trail =
-          match f with
-          | Ast.Starts_with -> (0, 1)
-          | Ast.Ends_with -> (1, 0)
-          | Ast.Contains -> (1, 1)
-          | _ -> (0, 0)
-        in
-        let fp = string_code (force_string patt) in
-        CB (spf "lq_like_dyn(db, dofs, %s, %d, %d, %s)" fp lead trail fs))
-    | (Ast.Lower | Ast.Upper), _ ->
-      unsupported "string interning call (the C dictionary is read-only)"
-    | Ast.Length, [ e ] ->
-      c.needs_dict <- true;
-      let fs = string_code (force_string e) in
-      CI (spf "((int64_t)(dofs[%s + 1] - dofs[%s]))" fs fs, Vtype.Int)
-    | Ast.Abs, [ e ] -> (
-      match force c (go e) with
-      | CI (code, Vtype.Int) -> CI (spf "lq_iabs(%s)" code, Vtype.Int)
-      | CF code -> CF (spf "fabs(%s)" code)
-      | _ -> unsupported "Abs on non-numeric (C)")
-    | Ast.Year, [ e ] -> (
-      match force_date e with
-      | CI (code, Vtype.Date) -> CI (spf "lq_year(%s)" code, Vtype.Int)
-      | _ -> unsupported "Year on non-date (C)")
-    | Ast.Add_days, [ d; n ] -> (
-      match (force_date d, force c (go n)) with
-      | CI (fd, Vtype.Date), CI (fn, Vtype.Int) ->
-        CI (spf "(%s + %s)" fd fn, Vtype.Date)
-      | _ -> unsupported "AddDays arguments (C)")
-    | _, _ -> unsupported "call %s (C)" (Lq_expr.Pretty.func_name f)
-  in
-  force c (go expr)
-
-(* --- plan walking, mirroring Nplan.compile_plan --------------------- *)
-
-let bind1 (l : Ast.lambda) elem =
-  match l.Ast.params with
-  | [ p ] -> [ (p, elem) ]
-  | _ -> unsupported "lambda arity (C)"
-
-let compile_key_parts c ~env (body : Ast.expr) : (string * cexp) list =
-  match body with
-  | Ast.Record_of fields ->
-    List.map (fun (n, e) -> (n, compile c ~env e)) fields
-  | e -> [ (Nexpr.scalar_field, compile c ~env e) ]
-
-let elem_of_body c ~env (body : Ast.expr) : celem =
-  match body with
-  | Ast.Record_of fields ->
-    CFields (List.map (fun (n, e) -> (n, compile c ~env e)) fields)
-  | Ast.Var name when List.mem_assoc name env -> List.assoc name env
-  | e -> CScalar (compile c ~env e)
+(* --- loops --------------------------------------------------------- *)
 
 let stops_cond stops = String.concat "" (List.map (fun s -> " && !" ^ s) stops)
 
-(* Typed spill columns: what Nplan.spill materializes per loop segment.
-   Bool values land as int64 0/1 and read back typed Bool — the same
-   Rowstore round-trip, where a B never survives a spill. *)
-type spill_col = {
-  sc_name : string;
-  sc_var : string;
-  sc_float : bool;
-  sc_vty : Vtype.t;
-  sc_val : string;  (** C value expression, valid at the input sink *)
-}
-
-let spill_cols pfx elem : spill_col list =
-  List.mapi
-    (fun i (name, t) ->
+(* Spilled columns are typed arrays [<pfx>_c<i>]; a condition lands as
+   int64 0/1 and reads back typed Bool — the interpreter's Rowstore
+   round-trip, where a condition never survives a spill. *)
+let declare_spill c pfx (sp : L.spill) =
+  List.iteri
+    (fun i e ->
       let var = spf "%s_c%d" pfx i in
-      match t with
-      | CF code ->
-        {
-          sc_name = name;
-          sc_var = var;
-          sc_float = true;
-          sc_vty = Vtype.Float;
-          sc_val = code;
-        }
-      | CI (code, ty) ->
-        {
-          sc_name = name;
-          sc_var = var;
-          sc_float = false;
-          sc_vty = ty;
-          sc_val = code;
-        }
-      | CB code ->
-        {
-          sc_name = name;
-          sc_var = var;
-          sc_float = false;
-          sc_vty = Vtype.Bool;
-          sc_val = spf "((int64_t)%s)" code;
-        })
-    (celem_fields elem)
+      line c "%s *%s = NULL; int64_t %s_cap = 0;" (c_type e) var var)
+    sp.L.cols
 
-let declare_spill c cols =
-  List.iter
-    (fun sc ->
-      let ty = if sc.sc_float then "double" else "int64_t" in
-      line c "%s *%s = NULL; int64_t %s_cap = 0;" ty sc.sc_var sc.sc_var)
-    cols
+let write_spill c pfx (sp : L.spill) ~at =
+  List.iteri
+    (fun i (e : L.expr) ->
+      let var = spf "%s_c%d" pfx i and ty = c_type e in
+      line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s, sizeof(%s));" var ty var var at ty;
+      line c "%s[%s] = %s;" var at (if e.L.ty = L.F then code c e else key_part c e))
+    sp.L.cols
 
-let write_spill c cols ~at =
-  List.iter
-    (fun sc ->
-      let ty = if sc.sc_float then "double" else "int64_t" in
-      line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s, sizeof(%s));" sc.sc_var
-        ty sc.sc_var sc.sc_var at ty;
-      line c "%s[%s] = %s;" sc.sc_var at sc.sc_val)
-    cols
-
-let spill_elem cols ~at : celem =
-  CFields
-    (List.map
-       (fun sc ->
-         let code = spf "%s[%s]" sc.sc_var at in
-         (sc.sc_name, if sc.sc_float then CF code else CI (code, sc.sc_vty)))
-       cols)
-
-let rec gen c (p : P.t) ~stops : celem * ((unit -> unit) -> unit) =
-  match p.P.op with
-  | P.Scan s ->
-    let table = Catalog.table c.cat s.P.table in
-    let store = Catalog.store table in
-    let layout = Lq_storage.Rowstore.layout store in
-    let width = Layout.row_width layout in
-    let k = scan_index c s.P.table in
+let rec gen c (l : L.loop) ~stops : (unit -> unit) -> unit =
+  match l with
+  | L.Scan { staged = true; table; _ } ->
+    unsupported "externally staged source %S (filled per execution by the managed side)" table
+  | L.Scan { rel; table; store; staged = false } ->
+    let width = Layout.row_width (Lq_storage.Rowstore.layout store) in
+    let k = scan_index c table in
     let iv = fresh c "i" and rv = fresh c "r" in
-    ( CRow (rv, layout),
-      fun body ->
-        line c "for (int64_t %s = 0; %s < nrows[%d]%s; %s++) {" iv iv k
-          (stops_cond stops) iv;
-        push c;
-        line c "const unsigned char *%s = srcs[%d] + %s * %d;" rv k iv width;
-        body ();
-        pop c;
-        line c "}" )
-  | P.Filter (input, preds) ->
-    let elem, run = gen c input ~stops in
-    ( elem,
-      fun body ->
-        run (fun () ->
-            (* Conjuncts arrive cheapest-first; && keeps that order. *)
-            let conds =
-              List.map
-                (fun (pr : P.pred) ->
-                  as_bool
-                    (compile c
-                       ~env:(bind1 pr.P.lambda elem)
-                       pr.P.lambda.Ast.body))
-                preds
-            in
-            match conds with
-            | [] -> body ()
-            | conds ->
-              line c "if (%s) {" (String.concat " && " conds);
-              push c;
-              body ();
-              pop c;
-              line c "}") )
-  | P.Project (input, sel) ->
-    let elem, run = gen c input ~stops in
-    let env = bind1 sel elem in
-    (elem_of_body c ~env sel.Ast.body, run)
-  | P.Join j -> gen_join c j ~stops
-  | P.Aggregate a -> gen_group c a ~stops
-  | P.Sort (input, keys) -> gen_sort c input keys None ~stops
-  | P.Top_k { input; keys; limit } ->
-    let lim = as_int (compile c ~env:[] limit) in
-    gen_sort c input keys (Some lim) ~stops
-  | P.Limit (input, n) ->
-    let flag = fresh c "st" in
-    let elem, run = gen c input ~stops:(stops @ [ flag ]) in
-    let lim = as_int (compile c ~env:[] n) in
-    let limv = fresh c "lim" and emv = fresh c "em" in
-    ( elem,
-      fun body ->
-        line c "int %s = 0;" flag;
-        line c "int64_t %s = 0;" emv;
-        line c "int64_t %s = %s;" limv lim;
-        line c "if (%s > 0) {" limv;
-        push c;
-        run (fun () ->
-            body ();
-            line c "%s++;" emv;
-            line c "if (%s >= %s) %s = 1;" emv limv flag);
-        pop c;
-        line c "}" )
-  | P.Offset (input, n) ->
-    let elem, run = gen c input ~stops in
-    let off = as_int (compile c ~env:[] n) in
-    let offv = fresh c "off" and seenv = fresh c "seen" in
-    ( elem,
-      fun body ->
-        line c "int64_t %s = %s;" offv off;
-        line c "int64_t %s = 0;" seenv;
-        run (fun () ->
-            line c "%s++;" seenv;
-            line c "if (%s > %s) {" seenv offv;
-            push c;
-            body ();
-            pop c;
-            line c "}") )
-  | P.Distinct input ->
-    let elem, run = gen c input ~stops in
-    let parts = List.map (fun (_, t) -> key_part t) (celem_fields elem) in
-    let np = List.length parts in
-    let pfx = fresh c "d" in
-    ( elem,
-      fun body ->
-        line c "lq_ht %s_h;" pfx;
-        line c "lq_ht_init(&%s_h, &A, %d, 256);" pfx np;
-        run (fun () ->
-            line c "int64_t %s_kp[%d];" pfx np;
-            List.iteri
-              (fun i part -> line c "%s_kp[%d] = %s;" pfx i part)
-              parts;
-            line c "int64_t %s_b = %s_h.count;" pfx pfx;
-            line c "(void)lq_ht_insert(&%s_h, %s_kp);" pfx pfx;
-            line c "if (%s_h.count > %s_b) {" pfx pfx;
-            push c;
-            body ();
-            pop c;
-            line c "}") )
-
-and gen_join c (j : P.join) ~stops : celem * ((unit -> unit) -> unit) =
-  (* Always a hash join, like Nplan: build the right side into
-     attach-order chains, probe from the left. Chain cells store row+1;
-     0 marks empty, so lq_grow's zero-fill initializes them. *)
-  let lelem, lrun = gen c j.P.left ~stops in
-  let relem, rrun = gen c j.P.right ~stops in
-  let pfx = fresh c "j" in
-  let rkey =
-    compile_key_parts c ~env:(bind1 j.P.right_key relem) j.P.right_key.Ast.body
-  in
-  let lkey =
-    compile_key_parts c ~env:(bind1 j.P.left_key lelem) j.P.left_key.Ast.body
-  in
-  let np = List.length rkey in
-  if List.length lkey <> np then unsupported "join key arity mismatch (C)";
-  let cols = spill_cols pfx relem in
-  let rcur = spf "%s_r" pfx in
-  let selem = spill_elem cols ~at:rcur in
-  let renv =
-    match j.P.result.Ast.params with
-    | [ pl; pr ] -> [ (pl, lelem); (pr, selem) ]
-    | _ -> unsupported "join result arity (C)"
-  in
-  let elem = elem_of_body c ~env:renv j.P.result.Ast.body in
-  ( elem,
+    Hashtbl.replace c.views rel (Page rv);
     fun body ->
-      line c "lq_ht %s_h;" pfx;
-      line c "lq_ht_init(&%s_h, &A, %d, 1024);" pfx np;
-      declare_spill c cols;
-      line c "int64_t %s_n = 0;" pfx;
-      line c "int64_t *%s_head = NULL; int64_t %s_head_cap = 0;" pfx pfx;
-      line c "int64_t *%s_tail = NULL; int64_t %s_tail_cap = 0;" pfx pfx;
-      line c "int64_t *%s_next = NULL; int64_t %s_next_cap = 0;" pfx pfx;
-      rrun (fun () ->
-          line c "int64_t %s_kp[%d];" pfx np;
-          List.iteri
-            (fun i (_, t) -> line c "%s_kp[%d] = %s;" pfx i (key_part t))
-            rkey;
-          write_spill c cols ~at:(spf "%s_n" pfx);
-          line c "int64_t %s_s = lq_ht_insert(&%s_h, %s_kp);" pfx pfx pfx;
-          line c
-            "%s_head = (int64_t *)lq_grow(&A, %s_head, &%s_head_cap, %s_s, \
-             sizeof(int64_t));"
-            pfx pfx pfx pfx;
-          line c
-            "%s_tail = (int64_t *)lq_grow(&A, %s_tail, &%s_tail_cap, %s_s, \
-             sizeof(int64_t));"
-            pfx pfx pfx pfx;
-          line c
-            "%s_next = (int64_t *)lq_grow(&A, %s_next, &%s_next_cap, %s_n, \
-             sizeof(int64_t));"
-            pfx pfx pfx pfx;
-          line c "if (%s_head[%s_s] == 0) %s_head[%s_s] = %s_n + 1;" pfx pfx
-            pfx pfx pfx;
-          line c "else %s_next[%s_tail[%s_s] - 1] = %s_n + 1;" pfx pfx pfx pfx;
-          line c "%s_tail[%s_s] = %s_n + 1;" pfx pfx pfx;
-          line c "%s_next[%s_n] = 0;" pfx pfx;
-          line c "%s_n++;" pfx);
-      lrun (fun () ->
-          line c "int64_t %s_lkp[%d];" pfx np;
-          List.iteri
-            (fun i (_, t) -> line c "%s_lkp[%d] = %s;" pfx i (key_part t))
-            lkey;
-          line c "int64_t %s_fs = lq_ht_find(&%s_h, %s_lkp);" pfx pfx pfx;
-          line c "if (%s_fs >= 0) {" pfx;
+      line c "for (int64_t %s = 0; %s < nrows[%d]%s; %s++) {" iv iv k (stops_cond stops) iv;
+      push c;
+      line c "const unsigned char *%s = srcs[%d] + %s * %d;" rv k iv width;
+      body ();
+      pop c;
+      line c "}"
+  | L.Filter { input; preds; _ } -> (
+    (* An index probe prints as the equality filter it replaced. *)
+    let run = gen c input ~stops in
+    fun body ->
+      run (fun () ->
+          (* Conjuncts arrive cheapest-first; && keeps that order. *)
+          match List.map (code c) preds with
+          | [] -> body ()
+          | conds ->
+            line c "if (%s) {" (String.concat " && " conds);
+            push c;
+            body ();
+            pop c;
+            line c "}"))
+  | L.Join { left; right; lkey; rkey; build } -> gen_join c left right lkey rkey build ~stops
+  | L.Group { id; input; key; accs } -> gen_group c id input key accs ~stops
+  | L.Sort { input; spill; keys; limit } -> gen_sort c input spill keys limit ~stops
+  | L.Limit (input, n) ->
+    let flag = fresh c "st" in
+    let run = gen c input ~stops:(stops @ [ flag ]) in
+    let limv = fresh c "lim" and emv = fresh c "em" in
+    fun body ->
+      line c "int %s = 0;" flag;
+      line c "int64_t %s = 0;" emv;
+      line c "int64_t %s = %s;" limv (code c n);
+      line c "if (%s > 0) {" limv;
+      push c;
+      run (fun () ->
+          body ();
+          line c "%s++;" emv;
+          line c "if (%s >= %s) %s = 1;" emv limv flag);
+      pop c;
+      line c "}"
+  | L.Offset (input, n) ->
+    let run = gen c input ~stops in
+    let offv = fresh c "off" and seenv = fresh c "seen" in
+    fun body ->
+      line c "int64_t %s = %s;" offv (code c n);
+      line c "int64_t %s = 0;" seenv;
+      run (fun () ->
+          line c "%s++;" seenv;
+          line c "if (%s > %s) {" seenv offv;
           push c;
-          line c
-            "for (int64_t %s_ch = %s_head[%s_fs]; %s_ch != 0%s; %s_ch = \
-             %s_next[%s_ch - 1]) {"
-            pfx pfx pfx pfx (stops_cond stops) pfx pfx pfx;
-          push c;
-          line c "const int64_t %s = %s_ch - 1;" rcur pfx;
           body ();
           pop c;
-          line c "}";
-          pop c;
-          line c "}") )
-
-and gen_group c (a : P.aggregate) ~stops : celem * ((unit -> unit) -> unit) =
-  let elem_in, run_in = gen c a.P.input ~stops in
-  let result =
-    match a.P.group_result with
-    | Some r -> r
-    | None ->
-      unsupported "GroupBy without result selector: group objects are not flat"
-  in
-  let gvar =
-    match result.Ast.params with
-    | [ p ] -> p
-    | _ -> unsupported "group result arity (C)"
-  in
-  if not a.P.fused then
-    unsupported "unfused aggregation (the C backend always fuses)";
-  let pfx = fresh c "g" in
-  let key_fields =
-    compile_key_parts c ~env:(bind1 a.P.key elem_in) a.P.key.Ast.body
-  in
-  let np = List.length key_fields in
-  let slotv = spf "%s_s" pfx in
-  (* Key readers for the output phase: parts live in the dense keys
-     array, typed as the build side computed them. *)
-  let key_reader off (t : cexp) : cexp =
-    let part = spf "%s_h.keys[%s * %d + %d]" pfx slotv np off in
-    match t with
-    | CF _ -> CF (spf "lq_keyf(%s)" part)
-    | CB _ -> CB (spf "(%s != 0)" part)
-    | CI (_, ty) -> CI (part, ty)
-  in
-  let gkey_elem =
-    match a.P.key.Ast.body with
-    | Ast.Record_of _ ->
-      CFields (List.mapi (fun off (n, t) -> (n, key_reader off t)) key_fields)
-    | _ ->
-      let _, t = List.hd key_fields in
-      CScalar (key_reader 0 t)
-  in
-  let counts = spf "%s_cnt" pfx in
-  let usv = spf "%s_us" pfx and freshv = spf "%s_fresh" pfx in
-  (* Accumulators mirror Nplan's: [decl] emits the state array, [update]
-     the per-row fold at slot [usv], the third field reads at [slotv]
-     during output. *)
-  let make_acc idx (kind : Ast.agg) (sel : Ast.lambda option) =
-    let selected () =
-      match sel with
-      | None -> (
-        match celem_fields elem_in with
-        | [ (_, t) ] -> t
-        | _ -> unsupported "aggregate without selector over a row (C)")
-      | Some (l : Ast.lambda) -> (
-        match l.Ast.params with
-        | [ p ] -> compile c ~env:[ (p, elem_in) ] l.Ast.body
-        | _ -> unsupported "aggregate selector arity (C)")
-    in
-    let av = spf "%s_a%d" pfx idx in
-    let decl_arr float () =
-      let ty = if float then "double" else "int64_t" in
-      line c "%s *%s = NULL; int64_t %s_cap = 0;" ty av av
-    in
-    let grow float =
-      let ty = if float then "double" else "int64_t" in
-      line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s, sizeof(%s));" av ty av
-        av usv ty
-    in
-    match kind with
-    | Ast.Count ->
-      ((fun () -> ()), (fun () -> ()), CI (spf "%s[%s]" counts slotv, Vtype.Int))
-    | Ast.Sum -> (
-      match selected () with
-      | CF code ->
-        ( decl_arr true,
-          (fun () ->
-            grow true;
-            line c "if (%s) %s[%s] = %s; else %s[%s] += %s;" freshv av usv
-              code av usv code),
-          CF (spf "%s[%s]" av slotv) )
-      | CI (code, Vtype.Int) ->
-        ( decl_arr false,
-          (fun () ->
-            grow false;
-            line c "if (%s) %s[%s] = %s; else %s[%s] += %s;" freshv av usv
-              code av usv code),
-          CI (spf "%s[%s]" av slotv, Vtype.Int) )
-      | _ -> unsupported "Sum over non-numeric (C)")
-    | Ast.Avg ->
-      let code = as_float (selected ()) in
-      ( decl_arr true,
-        (fun () ->
-          grow true;
-          line c "if (%s) %s[%s] = %s; else %s[%s] += %s;" freshv av usv code
-            av usv code),
-        CF (spf "(%s[%s] / (double)%s[%s])" av slotv counts slotv) )
-    | Ast.Min | Ast.Max -> (
-      let keep = match kind with Ast.Min -> "<" | _ -> ">" in
-      match selected () with
-      | CF code ->
-        let tv = spf "%s_v%d" pfx idx in
-        ( decl_arr true,
-          (fun () ->
-            grow true;
-            line c "double %s = %s;" tv code;
-            line c "if (%s || lq_fcmp(%s, %s[%s]) %s 0) %s[%s] = %s;" freshv
-              tv av usv keep av usv tv),
-          CF (spf "%s[%s]" av slotv) )
-      | CI (code, Vtype.String) ->
-        c.needs_dict <- true;
-        let tv = spf "%s_v%d" pfx idx in
-        ( decl_arr false,
-          (fun () ->
-            grow false;
-            line c "int64_t %s = %s;" tv code;
-            line c
-              "if (%s || lq_strcmp(db, dofs, %s, %s[%s]) %s 0) %s[%s] = %s;"
-              freshv tv av usv keep av usv tv),
-          CI (spf "%s[%s]" av slotv, Vtype.String) )
-      | CI (code, ty) ->
-        let tv = spf "%s_v%d" pfx idx in
-        ( decl_arr false,
-          (fun () ->
-            grow false;
-            line c "int64_t %s = %s;" tv code;
-            line c "if (%s || %s %s %s[%s]) %s[%s] = %s;" freshv tv keep av
-              usv av usv tv),
-          CI (spf "%s[%s]" av slotv, ty) )
-      | CB _ -> unsupported "Min/Max over bool (C)")
-  in
-  let reg = P.Registry.of_aggregate a in
-  let accs =
-    Array.init (P.Registry.length reg) (fun i ->
-        let s = P.Registry.spec reg i in
-        make_acc i s.P.agg s.P.sel)
-  in
-  let on_agg kind src sel =
-    match src with
-    | Ast.Var v when String.equal v gvar ->
-      let _, _, out = accs.(P.Registry.next reg kind sel) in
-      out
-    | _ -> unsupported "aggregate over a non-group source (C)"
-  in
-  let body_ast = Nplan.rewrite_gkey gvar result.Ast.body in
-  let env = [ (Nplan.gkey_var, gkey_elem) ] in
-  let compile_result e = compile c ~env ~on_agg e in
-  let elem =
-    match body_ast with
-    | Ast.Record_of fields ->
-      CFields (List.map (fun (n, e) -> (n, compile_result e)) fields)
-    | e -> CScalar (compile_result e)
-  in
-  ( elem,
+          line c "}")
+  | L.Distinct (input, keys) ->
+    let run = gen c input ~stops in
+    let np = List.length keys in
+    let pfx = fresh c "d" in
     fun body ->
       line c "lq_ht %s_h;" pfx;
       line c "lq_ht_init(&%s_h, &A, %d, 256);" pfx np;
-      line c "int64_t *%s = NULL; int64_t %s_cap = 0;" counts counts;
-      Array.iter (fun (decl, _, _) -> decl ()) accs;
-      run_in (fun () ->
+      run (fun () ->
           line c "int64_t %s_kp[%d];" pfx np;
-          List.iteri
-            (fun i (_, t) -> line c "%s_kp[%d] = %s;" pfx i (key_part t))
-            key_fields;
+          List.iteri (fun i e -> line c "%s_kp[%d] = %s;" pfx i (key_part c e)) keys;
           line c "int64_t %s_b = %s_h.count;" pfx pfx;
-          line c "int64_t %s = lq_ht_insert(&%s_h, %s_kp);" usv pfx pfx;
-          line c "int %s = %s_h.count > %s_b;" freshv pfx pfx;
-          line c
-            "%s = (int64_t *)lq_grow(&A, %s, &%s_cap, %s, sizeof(int64_t));"
-            counts counts counts usv;
-          Array.iter (fun (_, update, _) -> update ()) accs;
-          line c "%s[%s] += 1;" counts usv);
-      line c "for (int64_t %s = 0; %s < %s_h.count%s; %s++) {" slotv slotv pfx
-        (stops_cond stops) slotv;
-      push c;
-      body ();
-      pop c;
-      line c "}" )
+          line c "(void)lq_ht_insert(&%s_h, %s_kp);" pfx pfx;
+          line c "if (%s_h.count > %s_b) {" pfx pfx;
+          push c;
+          body ();
+          pop c;
+          line c "}")
 
-and gen_sort c (input : P.t) keys limit ~stops :
-    celem * ((unit -> unit) -> unit) =
-  let elem_in, run_in = gen c input ~stops in
-  let pfx = fresh c "s" in
-  let cols = spill_cols pfx elem_in in
+(* Build the right side into attach-order chains, probe from the left.
+   Chain cells store row+1; 0 marks empty, so lq_grow's zero-fill
+   initializes them. *)
+and gen_join c left right lkey rkey (build : L.spill) ~stops =
+  let lrun = gen c left ~stops in
+  let rrun = gen c right ~stops in
+  let pfx = fresh c "j" in
+  let np = List.length rkey in
   let rcur = spf "%s_r" pfx in
-  let elem = spill_elem cols ~at:rcur in
-  (* Per-key extraction columns; the comparator mirrors Nplan's: float
-     three-way / dict-decoded string compare / integer-image compare,
-     direction sign, then the row-index tiebreak for a total order. *)
-  let keycols =
-    List.mapi
-      (fun i (k : Ast.sort_key) ->
-        let t = compile c ~env:(bind1 k.Ast.by elem_in) k.Ast.by.Ast.body in
-        let sign = match k.Ast.dir with Ast.Asc -> 1 | Ast.Desc -> -1 in
-        let var = spf "%s_k%d" pfx i in
-        match t with
-        | CF code -> (var, `F, sign, code)
-        | CI (code, Vtype.String) ->
-          c.needs_dict <- true;
-          (var, `S, sign, code)
-        | t -> (var, `K, sign, key_part t))
-      keys
+  Hashtbl.replace c.views build.L.rel (Spilled (pfx, rcur));
+  fun body ->
+    line c "lq_ht %s_h;" pfx;
+    line c "lq_ht_init(&%s_h, &A, %d, 1024);" pfx np;
+    declare_spill c pfx build;
+    line c "int64_t %s_n = 0;" pfx;
+    line c "int64_t *%s_head = NULL; int64_t %s_head_cap = 0;" pfx pfx;
+    line c "int64_t *%s_tail = NULL; int64_t %s_tail_cap = 0;" pfx pfx;
+    line c "int64_t *%s_next = NULL; int64_t %s_next_cap = 0;" pfx pfx;
+    rrun (fun () ->
+        line c "int64_t %s_kp[%d];" pfx np;
+        List.iteri (fun i e -> line c "%s_kp[%d] = %s;" pfx i (key_part c e)) rkey;
+        write_spill c pfx build ~at:(spf "%s_n" pfx);
+        line c "int64_t %s_s = lq_ht_insert(&%s_h, %s_kp);" pfx pfx pfx;
+        List.iter
+          (fun (arr, idx) ->
+            line c
+              "%s_%s = (int64_t *)lq_grow(&A, %s_%s, &%s_%s_cap, %s_%s, sizeof(int64_t));"
+              pfx arr pfx arr pfx arr pfx idx)
+          [ ("head", "s"); ("tail", "s"); ("next", "n") ];
+        line c "if (%s_head[%s_s] == 0) %s_head[%s_s] = %s_n + 1;" pfx pfx pfx pfx pfx;
+        line c "else %s_next[%s_tail[%s_s] - 1] = %s_n + 1;" pfx pfx pfx pfx;
+        line c "%s_tail[%s_s] = %s_n + 1;" pfx pfx pfx;
+        line c "%s_next[%s_n] = 0;" pfx pfx;
+        line c "%s_n++;" pfx);
+    lrun (fun () ->
+        line c "int64_t %s_lkp[%d];" pfx np;
+        List.iteri (fun i e -> line c "%s_lkp[%d] = %s;" pfx i (key_part c e)) lkey;
+        line c "int64_t %s_fs = lq_ht_find(&%s_h, %s_lkp);" pfx pfx pfx;
+        line c "if (%s_fs >= 0) {" pfx;
+        push c;
+        line c
+          "for (int64_t %s_ch = %s_head[%s_fs]; %s_ch != 0%s; %s_ch = %s_next[%s_ch - 1]) {"
+          pfx pfx pfx pfx (stops_cond stops) pfx pfx pfx;
+        push c;
+        line c "const int64_t %s = %s_ch - 1;" rcur pfx;
+        body ();
+        pop c;
+        line c "}";
+        pop c;
+        line c "}")
+
+(* Accumulator [i] is the array [<pfx>_a<i>], folded at slot [<pfx>_us]
+   per input row and read at [<pfx>_s] during output; counts are shared
+   in [<pfx>_cnt]. *)
+and gen_group c id input key accs ~stops =
+  let run_in = gen c input ~stops in
+  let pfx = fresh c "g" in
+  let np = List.length key in
+  Hashtbl.replace c.groups id (pfx, np, accs);
+  let slotv = spf "%s_s" pfx and usv = spf "%s_us" pfx and freshv = spf "%s_fresh" pfx in
+  let counts = spf "%s_cnt" pfx in
+  let state i (acc : L.acc) =
+    match acc with
+    | L.Count -> None
+    | L.Sum e | L.Avg e | L.Min_max { arg = e; _ } -> Some (spf "%s_a%d" pfx i, c_type e, e)
   in
-  (* The comparator is a function over an explicit context struct, so
-     the generated object stays reentrant across Domains. *)
+  let update i (av, ty, e) =
+    line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s, sizeof(%s));" av ty av av usv ty;
+    match accs.(i) with
+    | L.Count -> ()
+    | L.Sum _ | L.Avg _ ->
+      let v = code c e in
+      line c "if (%s) %s[%s] = %s; else %s[%s] += %s;" freshv av usv v av usv v
+    | L.Min_max { max; order; _ } ->
+      let tv = spf "%s_v%d" pfx i and keep = if max then ">" else "<" in
+      line c "%s %s = %s;" ty tv (code c e);
+      let better =
+        match order with
+        | L.By_float -> spf "lq_fcmp(%s, %s[%s]) %s 0" tv av usv keep
+        | L.By_string ->
+          c.needs_dict <- true;
+          spf "lq_strcmp(db, dofs, %s, %s[%s]) %s 0" tv av usv keep
+        | L.By_int | L.By_bool -> spf "%s %s %s[%s]" tv keep av usv
+      in
+      line c "if (%s || %s) %s[%s] = %s;" freshv better av usv tv
+  in
+  fun body ->
+    line c "lq_ht %s_h;" pfx;
+    line c "lq_ht_init(&%s_h, &A, %d, 256);" pfx np;
+    line c "int64_t *%s = NULL; int64_t %s_cap = 0;" counts counts;
+    Array.iteri
+      (fun i acc ->
+        Option.iter
+          (fun (av, ty, _) -> line c "%s *%s = NULL; int64_t %s_cap = 0;" ty av av)
+          (state i acc))
+      accs;
+    run_in (fun () ->
+        line c "int64_t %s_kp[%d];" pfx np;
+        List.iteri (fun i e -> line c "%s_kp[%d] = %s;" pfx i (key_part c e)) key;
+        line c "int64_t %s_b = %s_h.count;" pfx pfx;
+        line c "int64_t %s = lq_ht_insert(&%s_h, %s_kp);" usv pfx pfx;
+        line c "int %s = %s_h.count > %s_b;" freshv pfx pfx;
+        line c "%s = (int64_t *)lq_grow(&A, %s, &%s_cap, %s, sizeof(int64_t));" counts counts
+          counts usv;
+        Array.iteri (fun i acc -> Option.iter (update i) (state i acc)) accs;
+        line c "%s[%s] += 1;" counts usv);
+    line c "for (int64_t %s = 0; %s < %s_h.count%s; %s++) {" slotv slotv pfx (stops_cond stops)
+      slotv;
+    push c;
+    body ();
+    pop c;
+    line c "}"
+
+(* Key [i] is extracted into [<pfx>_k<i>] beside the spilled columns; the
+   comparator — float three-way / dict-decoded string compare /
+   integer-image compare, direction sign, then the row-index tiebreak for
+   a total order — is a function over an explicit context struct, so the
+   generated object stays reentrant across Domains. *)
+and gen_sort c input (sp : L.spill) keys limit ~stops =
+  let run_in = gen c input ~stops in
+  let pfx = fresh c "s" in
+  let rcur = spf "%s_r" pfx in
+  Hashtbl.replace c.views sp.L.rel (Spilled (pfx, rcur));
+  let keycols = List.mapi (fun i (k : L.sort_key) -> (spf "%s_k%d" pfx i, k)) keys in
   let sctx = spf "lq_sctx_%s" pfx and scmp = spf "lq_scmp_%s" pfx in
   let aux = Buffer.create 256 in
   Buffer.add_string aux (spf "struct %s {\n" sctx);
   Buffer.add_string aux "  const unsigned char *db;\n  const int32_t *dofs;\n";
   List.iter
-    (fun (var, kind, _, _) ->
-      Buffer.add_string aux
-        (spf "  const %s *%s;\n"
-           (if kind = `F then "double" else "int64_t")
-           var))
+    (fun (var, (k : L.sort_key)) ->
+      Buffer.add_string aux (spf "  const %s *%s;\n" (c_type k.L.by) var))
     keycols;
   Buffer.add_string aux "};\n";
-  Buffer.add_string aux
-    (spf "static int %s(void *v, int64_t i, int64_t j) {\n" scmp);
-  Buffer.add_string aux
-    (spf "  const struct %s *c = (const struct %s *)v;\n  int r;\n" sctx sctx);
+  Buffer.add_string aux (spf "static int %s(void *v, int64_t i, int64_t j) {\n" scmp);
+  Buffer.add_string aux (spf "  const struct %s *c = (const struct %s *)v;\n  int r;\n" sctx sctx);
   List.iter
-    (fun (var, kind, sign, _) ->
+    (fun (var, (k : L.sort_key)) ->
       let cmp =
-        match kind with
-        | `F -> spf "lq_fcmp(c->%s[i], c->%s[j])" var var
-        | `S -> spf "lq_strcmp(c->db, c->dofs, c->%s[i], c->%s[j])" var var
-        | `K -> spf "lq_icmp(c->%s[i], c->%s[j])" var var
+        match k.L.order with
+        | L.By_float -> spf "lq_fcmp(c->%s[i], c->%s[j])" var var
+        | L.By_string ->
+          c.needs_dict <- true;
+          spf "lq_strcmp(c->db, c->dofs, c->%s[i], c->%s[j])" var var
+        | L.By_int | L.By_bool -> spf "lq_icmp(c->%s[i], c->%s[j])" var var
       in
       Buffer.add_string aux
-        (spf "  r = %s; if (r) return %s;\n" cmp
-           (if sign = 1 then "r" else "-r")))
+        (spf "  r = %s; if (r) return %s;\n" cmp (if k.L.desc then "-r" else "r")))
     keycols;
   Buffer.add_string aux "  return lq_icmp(i, j);\n}\n";
   Buffer.add_buffer c.aux aux;
-  ( elem,
-    fun body ->
-      declare_spill c cols;
-      List.iter
-        (fun (var, kind, _, _) ->
-          let ty = if kind = `F then "double" else "int64_t" in
-          line c "%s *%s = NULL; int64_t %s_cap = 0;" ty var var)
-        keycols;
-      line c "int64_t %s_n = 0;" pfx;
-      run_in (fun () ->
-          write_spill c cols ~at:(spf "%s_n" pfx);
-          List.iter
-            (fun (var, kind, _, code) ->
-              let ty = if kind = `F then "double" else "int64_t" in
-              line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s_n, sizeof(%s));"
-                var ty var var pfx ty;
-              line c "%s[%s_n] = %s;" var pfx code)
-            keycols;
-          line c "%s_n++;" pfx);
-      (* Fill the context struct only now: lq_grow moves column bases. *)
-      line c "struct %s %s_ctx;" sctx pfx;
-      line c "%s_ctx.db = db; %s_ctx.dofs = dofs;" pfx pfx;
-      List.iter
-        (fun (var, _, _, _) -> line c "%s_ctx.%s = %s;" pfx var var)
-        keycols;
-      line c
-        "int64_t *%s_idx = (int64_t *)lq_alloc(&A, (%s_n ? %s_n : 1) * \
-         (int64_t)sizeof(int64_t));"
-        pfx pfx pfx;
-      line c "for (int64_t %s_i = 0; %s_i < %s_n; %s_i++) %s_idx[%s_i] = %s_i;"
-        pfx pfx pfx pfx pfx pfx pfx;
-      line c "lq_sort_idx(&A, %s_idx, %s_n, %s, &%s_ctx);" pfx pfx scmp pfx;
-      (match limit with
-      | None -> line c "int64_t %s_out = %s_n;" pfx pfx
-      | Some lim ->
-        (* Bounded heap ≡ full sort + take k under a total order. *)
-        line c "int64_t %s_k = %s;" pfx lim;
-        line c "if (%s_k < 0) %s_k = 0;" pfx pfx;
-        line c "int64_t %s_out = %s_k < %s_n ? %s_k : %s_n;" pfx pfx pfx pfx
-          pfx);
-      line c "for (int64_t %s_o = 0; %s_o < %s_out%s; %s_o++) {" pfx pfx pfx
-        (stops_cond stops) pfx;
-      push c;
-      line c "const int64_t %s = %s_idx[%s_o];" rcur pfx pfx;
-      body ();
-      pop c;
-      line c "}" )
+  fun body ->
+    declare_spill c pfx sp;
+    List.iter
+      (fun (var, (k : L.sort_key)) ->
+        line c "%s *%s = NULL; int64_t %s_cap = 0;" (c_type k.L.by) var var)
+      keycols;
+    line c "int64_t %s_n = 0;" pfx;
+    run_in (fun () ->
+        write_spill c pfx sp ~at:(spf "%s_n" pfx);
+        List.iter
+          (fun (var, (k : L.sort_key)) ->
+            let ty = c_type k.L.by in
+            line c "%s = (%s *)lq_grow(&A, %s, &%s_cap, %s_n, sizeof(%s));" var ty var var pfx
+              ty;
+            line c "%s[%s_n] = %s;" var pfx
+              (if k.L.order = L.By_int then key_part c k.L.by else code c k.L.by))
+          keycols;
+        line c "%s_n++;" pfx);
+    (* Fill the context struct only now: lq_grow moves column bases. *)
+    line c "struct %s %s_ctx;" sctx pfx;
+    line c "%s_ctx.db = db; %s_ctx.dofs = dofs;" pfx pfx;
+    List.iter (fun (var, _) -> line c "%s_ctx.%s = %s;" pfx var var) keycols;
+    line c
+      "int64_t *%s_idx = (int64_t *)lq_alloc(&A, (%s_n ? %s_n : 1) * (int64_t)sizeof(int64_t));"
+      pfx pfx pfx;
+    line c "for (int64_t %s_i = 0; %s_i < %s_n; %s_i++) %s_idx[%s_i] = %s_i;" pfx pfx pfx pfx pfx
+      pfx pfx;
+    line c "lq_sort_idx(&A, %s_idx, %s_n, %s, &%s_ctx);" pfx pfx scmp pfx;
+    (match limit with
+    | None -> line c "int64_t %s_out = %s_n;" pfx pfx
+    | Some lim ->
+      (* Bounded heap ≡ full sort + take k under a total order. *)
+      line c "int64_t %s_k = %s;" pfx (code c lim);
+      line c "if (%s_k < 0) %s_k = 0;" pfx pfx;
+      line c "int64_t %s_out = %s_k < %s_n ? %s_k : %s_n;" pfx pfx pfx pfx pfx);
+    line c "for (int64_t %s_o = 0; %s_o < %s_out%s; %s_o++) {" pfx pfx pfx (stops_cond stops) pfx;
+    push c;
+    line c "const int64_t %s = %s_idx[%s_o];" rcur pfx pfx;
+    body ();
+    pop c;
+    line c "}"
 
 (* --- the fixed C runtime prelude ------------------------------------ *)
 
@@ -1043,6 +573,18 @@ static void lq_arena_free(lq_arena *A) {
   for (int64_t i = 0; i < A->n; i++) free(A->ptrs[i]);
   free(A->ptrs);
   A->ptrs = NULL; A->n = 0; A->cap = 0;
+}
+
+/* Integer division and modulo: a zero divisor unwinds to the single
+   exit, which returns -2 (OCaml's (/) and (mod) raise there); a -1
+   divisor is spelled out, as INT64_MIN / -1 traps too. */
+static inline int64_t lq_idiv(lq_arena *A, int64_t a, int64_t b) {
+  if (b == 0) longjmp(A->env, 2);
+  return b == -1 ? (int64_t)(0 - (uint64_t)a) : a / b;
+}
+static inline int64_t lq_imod(lq_arena *A, int64_t a, int64_t b) {
+  if (b == 0) longjmp(A->env, 2);
+  return b == -1 ? 0 : a % b;
 }
 
 /* Byte-lexicographic dictionary-code compare = OCaml String.compare. */
@@ -1222,7 +764,11 @@ let header =
 {
   lq_arena A; A.ptrs = NULL; A.n = 0; A.cap = 0;
   int64_t lq_total = 0;
-  if (setjmp(A.env)) { lq_arena_free(&A); return -1; }
+  switch (setjmp(A.env)) {
+  case 0: break;
+  case 2: lq_arena_free(&A); return -2;
+  default: lq_arena_free(&A); return -1;
+  }
   (void)srcs; (void)nrows; (void)ip; (void)fp; (void)db; (void)dofs;
 |}
 
@@ -1233,26 +779,25 @@ let footer = {|  lq_arena_free(&A);
 
 (* --- entry points ---------------------------------------------------- *)
 
-let emit_plan cat (plan : P.t) : program =
+let emit_plan (ir : L.t) : program =
   let c =
     {
+      ir;
       body = Buffer.create 4096;
       aux = Buffer.create 256;
       indent = 1;
       freshc = 0;
-      islots = [];
-      fslots = [];
       scans = [];
       needs_dict = false;
-      cat;
+      views = Hashtbl.create 8;
+      groups = Hashtbl.create 4;
     }
   in
-  let elem, run = gen c plan ~stops:[] in
-  let out_exprs = celem_fields elem in
-  let out_fields = List.map (fun (n, t) -> (n, vty_of t)) out_exprs in
+  let run = gen c ir.L.root ~stops:[] in
+  let out_exprs = L.fields ir ir.L.out in
+  let out_fields = List.map (fun (n, (e : L.expr)) -> (n, L.vty e.L.ty)) out_exprs in
   let out_layout =
-    try Layout.make out_fields
-    with Invalid_argument msg -> unsupported "result layout: %s" msg
+    try Layout.make out_fields with Invalid_argument msg -> unsupported "result layout: %s" msg
   in
   let width = Layout.row_width out_layout in
   run (fun () ->
@@ -1260,18 +805,14 @@ let emit_plan cat (plan : P.t) : program =
       push c;
       line c "unsigned char *lq_o = out + lq_total * %d;" width;
       List.iteri
-        (fun i (_, t) ->
+        (fun i (_, e) ->
           let f = Layout.field_at out_layout i in
           match f.Layout.ftype with
-          | Ftype.F64 ->
-            line c "wr_f64(lq_o + %d, %s);" f.Layout.offset (as_float t)
-          | Ftype.I64 ->
-            line c "wr_i64(lq_o + %d, %s);" f.Layout.offset (as_int t)
+          | Ftype.F64 -> line c "wr_f64(lq_o + %d, %s);" f.Layout.offset (code c e)
+          | Ftype.I64 -> line c "wr_i64(lq_o + %d, %s);" f.Layout.offset (code c e)
           | Ftype.I32 | Ftype.Date32 | Ftype.Str32 ->
-            line c "wr_i32(lq_o + %d, %s);" f.Layout.offset (as_int t)
-          | Ftype.Bool8 ->
-            line c "lq_o[%d] = (unsigned char)(%s != 0);" f.Layout.offset
-              (as_int t))
+            line c "wr_i32(lq_o + %d, %s);" f.Layout.offset (code c e)
+          | Ftype.Bool8 -> line c "lq_o[%d] = (unsigned char)(%s != 0);" f.Layout.offset (code c e))
         out_exprs;
       pop c;
       line c "}";
@@ -1279,12 +820,9 @@ let emit_plan cat (plan : P.t) : program =
   let scan_tables = List.rev c.scans in
   let src = Buffer.create (Buffer.length c.body + 8192) in
   Buffer.add_string src
-    (spf
-       "/* generated by lqcg (ABI v%d): scans [%s], %d int registers, %d \
-        float registers */\n"
-       abi_version
-       (String.concat "; " scan_tables)
-       (List.length c.islots) (List.length c.fslots));
+    (spf "/* generated by lqcg (ABI v%d): scans [%s], %d int registers, %d float registers */\n"
+       abi_version (String.concat "; " scan_tables) (Array.length ir.L.int_regs)
+       (Array.length ir.L.float_regs));
   Buffer.add_string src prelude;
   Buffer.add_buffer src c.aux;
   Buffer.add_char src '\n';
@@ -1294,44 +832,20 @@ let emit_plan cat (plan : P.t) : program =
   {
     c_source = Buffer.contents src;
     scan_tables;
-    int_params = List.rev_map fst c.islots;
-    float_params = List.rev_map fst c.fslots;
+    int_params = Array.to_list ir.L.int_regs;
+    float_params = Array.to_list ir.L.float_regs;
     out_fields;
-    out_scalar = (match elem with CScalar _ -> true | _ -> false);
+    out_scalar = (match ir.L.out with L.Scalar _ -> true | _ -> false);
     needs_dict = c.needs_dict;
   }
 
-let stub_source reason =
-  spf
-    "/* lq_query: no native C form for this plan.\n\
-    \   reason: %s\n\
-    \   The interpreted native program serves this shape. */\n\
-     typedef int lq_unused;\n"
-    reason
-
-let emit_lowered cat plan =
-  match emit_plan cat plan with
+let emit_lowered ir =
+  match emit_plan ir with
   | p -> p.c_source
-  | exception Unsupported_c msg -> stub_source msg
-  | exception Lq_catalog.Engine_intf.Unsupported msg -> stub_source msg
-  | exception Catalog.Not_flat t -> stub_source (t ^ ": source is not flat")
-  (* A plan whose scans name occurrence-renamed (staged/overridden)
-     sources — the hybrid and parallel engines show their offloaded
-     remainder through this listing — has no catalog-backed C form. *)
-  | exception Lq_expr.Eval.Unbound_source t ->
-    stub_source ("unbound source " ^ t)
-  | exception Invalid_argument msg -> stub_source msg
-  | exception Not_found -> stub_source "plan element not found"
-  | exception Failure msg -> stub_source msg
-
-let emit cat (q : Ast.query) : string =
-  match Lq_plan.Lower.lower cat q with
-  | plan -> emit_lowered cat plan
-  | exception Lq_catalog.Engine_intf.Unsupported msg -> stub_source msg
-  | exception Catalog.Not_flat t -> stub_source (t ^ ": source is not flat")
-  | exception Lq_expr.Typecheck.Type_error msg -> stub_source msg
-  | exception Lq_expr.Eval.Unbound_source t ->
-    stub_source ("unbound source " ^ t)
-  | exception Invalid_argument msg -> stub_source msg
-  | exception Not_found -> stub_source "plan element not found"
-  | exception Failure msg -> stub_source msg
+  | exception Unsupported_c reason ->
+    spf
+      "/* lq_query: no native C form for this plan.\n\
+      \   reason: %s\n\
+      \   The interpreted native program serves this shape. */\n\
+       typedef int lq_unused;\n"
+      reason

@@ -20,12 +20,12 @@ let engine : Engine_intf.t =
       (fun ?instr cat query ->
         let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
         let start = Profile.now_ms () in
-        (* Lower once; the interpreted program and the C listing share
-           the same physical plan (and the JIT compiles that listing). *)
+        (* Lower once; the interpreted program and the C listing share the
+           same loop IR (and the JIT compiles that listing). *)
         let plan, source =
           try
-            let lowered = Lq_plan.Lower.lower cat query in
-            (Nplan.compile_lowered ?trace cat lowered, Codegen_c.emit_lowered cat lowered)
+            let ir = Loop.lower cat (Lq_plan.Lower.lower cat query) in
+            (Nplan.compile ?trace ir, Codegen_c.emit_lowered ir)
           with
           | Catalog.Not_flat table ->
             Engine_intf.unsupported

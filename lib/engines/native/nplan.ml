@@ -1,39 +1,91 @@
 open Lq_value
-module Ast = Lq_expr.Ast
-module Eval = Lq_expr.Eval
-module Typecheck = Lq_expr.Typecheck
+module Date = Lq_value.Date
+module Dict = Lq_storage.Dict
 module Layout = Lq_storage.Layout
+module Ftype = Lq_storage.Ftype
+module Fbuf = Lq_storage.Fbuf
 module Rowstore = Lq_storage.Rowstore
 module Catalog = Lq_catalog.Catalog
 module Engine_intf = Lq_catalog.Engine_intf
-module P = Lq_plan.Plan
-
-let unsupported = Engine_intf.unsupported
+module L = Loop
 
 exception Enough
 
-type nnode = {
-  elem : Nexpr.elem;
-  run : (unit -> unit) -> unit;
-  segments : int;
-}
+(* A position in a flat store: the segment loop writes [cell], compiled
+   readers dereference it. *)
+type cursor = { store : Rowstore.t; cell : int ref }
+
+(* A compiled scalar: a monomorphic closure plus, for integer images, the
+   host type it decodes to. *)
+type v =
+  | I of (unit -> int) * Vtype.t
+  | F of (unit -> float)
+  | B of (unit -> bool)
 
 type t = {
-  nctx : Nexpr.ctx;
-  cat : Catalog.t;
-  root : nnode;
+  ir : L.t;
+  dict : Dict.t;
+  ints : int array;  (** integer registers *)
+  floats : float array;  (** float registers *)
+  cell_ints : int array;  (** per-execution sub-query cells *)
+  cell_floats : float array;
+  run : (unit -> unit) -> unit;
   emit : unit -> Value.t;  (** boxes the current root element *)
-  fillers : (Eval.ctx -> unit) list;  (** per-execution sub-query cells *)
-  segments : int;
   mu : Mutex.t;
-      (** the plan's cursors, parameter cells and accumulators are baked
-          into the closures, so one execution at a time *)
+      (** the plan's cursors, registers and accumulators are baked into
+          the closures, so one execution at a time *)
 }
 
-type external_source = {
-  ext_store : Rowstore.t;
-  ext_drive : (int -> unit) -> unit;
-}
+let as_int = function
+  | I (f, _) -> f
+  | B f -> fun () -> if f () then 1 else 0
+  | F _ -> invalid_arg "Nplan: float in an integer position"
+
+let as_float = function
+  | F f -> f
+  | I _ | B _ -> invalid_arg "Nplan: integer in a float position"
+
+let as_bool = function
+  | B f -> f
+  | I _ | F _ -> invalid_arg "Nplan: value in a condition position"
+
+(* Hash-key images. A float's 64 bits do not fit one 63-bit OCaml int
+   (truncation folds the sign bit away, conflating x and -x), so float
+   keys contribute two parts. *)
+let key_parts = function
+  | I (f, _) -> [ f ]
+  | B f -> [ (fun () -> if f () then 1 else 0) ]
+  | F f ->
+    [
+      (fun () -> Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (f ())) 32));
+      (fun () -> Int64.to_int (Int64.logand (Int64.bits_of_float (f ())) 0xFFFFFFFFL));
+    ]
+
+let float_of_key_parts ~hi ~lo =
+  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
+(* A single integer image, for sort keys and index probes (integer-family
+   values only; floats order through their own comparator). *)
+let key_part = function
+  | F f -> fun () -> Int64.to_int (Int64.bits_of_float (f ()))
+  | v -> as_int v
+
+let arith_op (op : L.arith) =
+  match op with
+  | L.Add -> (( + ), ( +. ))
+  | L.Sub -> (( - ), ( -. ))
+  | L.Mul -> (( * ), ( *. ))
+  | L.Div -> (( / ), ( /. ))
+  | L.Mod -> ((fun a b -> a mod b), fun a b -> Float.rem a b)
+
+let cmp_test (op : L.cmp) =
+  match op with
+  | L.Eq -> fun c -> c = 0
+  | L.Ne -> fun c -> c <> 0
+  | L.Lt -> fun c -> c < 0
+  | L.Le -> fun c -> c <= 0
+  | L.Gt -> fun c -> c > 0
+  | L.Ge -> fun c -> c >= 0
 
 (* Growable unboxed accumulator arrays. *)
 let grow_i arr n =
@@ -50,385 +102,331 @@ let grow_f arr n =
     arr := a
   end
 
-(* Materialize the current element into a fresh flat intermediate store:
-   the single materialization point per loop segment (§4.2/§5.2). *)
-let spill nctx elem =
-  let fields = Nexpr.elem_fields nctx elem in
-  let layout = Layout.make (List.map (fun (n, t) -> (n, Nexpr.vty t)) fields) in
-  let store = Rowstore.create ~layout ~dict:(Nexpr.dict nctx) () in
-  let width = Layout.row_width layout in
-  (* Monomorphic writers with offsets resolved once; [alloc_row] has grown
-     the buffer before any write runs. *)
-  let writers =
-    List.mapi
-      (fun col (_, t) ->
-        let f = Layout.field_at layout col in
-        let off = f.Layout.offset in
-        match ((t : Nexpr.t), f.Layout.ftype) with
-        | Nexpr.F g, _ ->
-          fun row -> Lq_storage.Fbuf.set_f64 (Rowstore.data store) ((row * width) + off) (g ())
-        | t, Lq_storage.Ftype.I64 ->
-          let g = Nexpr.as_int t in
-          fun row -> Lq_storage.Fbuf.set_i64 (Rowstore.data store) ((row * width) + off) (g ())
-        | t, (Lq_storage.Ftype.I32 | Lq_storage.Ftype.Date32 | Lq_storage.Ftype.Str32) ->
-          let g = Nexpr.as_int t in
-          fun row -> Lq_storage.Fbuf.set_i32 (Rowstore.data store) ((row * width) + off) (g ())
-        | t, Lq_storage.Ftype.Bool8 ->
-          let g = Nexpr.as_int t in
-          fun row ->
-            Lq_storage.Fbuf.set_bool (Rowstore.data store) ((row * width) + off) (g () <> 0)
-        | _, Lq_storage.Ftype.F64 -> assert false)
-      fields
+let compile ?trace ?drive (ir : L.t) : t =
+  let dict = Catalog.dict ir.L.cat in
+  (* String literals are interned on the preparing Domain, as their reads
+     compile (and the rest at the end), so per-execution binding only
+     ever reads the dictionary for them. *)
+  let intern_literal k =
+    match ir.L.int_regs.(k) with
+    | L.Str_const s -> ignore (Dict.intern dict s : int)
+    | L.Named _ -> ()
   in
-  let writers = Array.of_list writers in
-  let nwriters = Array.length writers in
-  let write_current () =
-    let row = Rowstore.alloc_row store in
-    for w = 0 to nwriters - 1 do
-      (Array.unsafe_get writers w) row
-    done;
-    row
+  let ints = Array.make (Array.length ir.L.int_regs) 0 in
+  let floats = Array.make (Array.length ir.L.float_regs) 0.0 in
+  let cell_ints = Array.make (Array.length ir.L.cells) 0 in
+  let cell_floats = Array.make (Array.length ir.L.cells) 0.0 in
+  let cursors = Hashtbl.create 8 in
+  let groups = Hashtbl.create 4 in
+  let new_cursor rel store =
+    let cursor = { store; cell = ref 0 } in
+    Hashtbl.replace cursors rel cursor;
+    cursor
   in
-  let cursor = { Nexpr.store; cell = ref 0 } in
-  let cols = List.mapi (fun col (name, _) -> (name, col)) fields in
-  (store, write_current, cursor, Nexpr.Row (cursor, cols))
-
-(* Group-key reference rewriting: [g.Key] becomes the synthetic variable
-   [__gkey] so composite keys support [g.Key.f] chains. *)
-let gkey_var = "__gkey"
-
-let rec rewrite_gkey gvar (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.Member (Ast.Var v, k)
-    when String.equal v gvar && String.equal k Ast.group_key_field ->
-    Ast.Var gkey_var
-  | Ast.Const _ | Ast.Param _ | Ast.Var _ -> e
-  | Ast.Member (r, f) -> Ast.Member (rewrite_gkey gvar r, f)
-  | Ast.Unop (op, e) -> Ast.Unop (op, rewrite_gkey gvar e)
-  | Ast.Binop (op, a, b) -> Ast.Binop (op, rewrite_gkey gvar a, rewrite_gkey gvar b)
-  | Ast.If (c, t, e) ->
-    Ast.If (rewrite_gkey gvar c, rewrite_gkey gvar t, rewrite_gkey gvar e)
-  | Ast.Call (f, args) -> Ast.Call (f, List.map (rewrite_gkey gvar) args)
-  | Ast.Agg (k, src, sel) ->
-    (* Aggregate sources stay (the hook matches on [Var g]); selector
-       bodies cannot see [g]. *)
-    Ast.Agg (k, src, sel)
-  | Ast.Subquery _ -> e
-  | Ast.Record_of fields ->
-    Ast.Record_of (List.map (fun (n, e) -> (n, rewrite_gkey gvar e)) fields)
-
-let compile_lowered ?trace ?(override = fun _ -> None) cat
-    (lowered : Lq_plan.Plan.t) : t =
-  let nctx = Nexpr.ctx ?trace ~dict:(Catalog.dict cat) () in
-  let fillers = ref [] in
-  let tenv = Catalog.tenv cat ~params:[] in
-  (* Typed per-execution constant: uncorrelated sub-query results. *)
-  let scalar_cell (e : Ast.expr) : Nexpr.t =
-    let ty =
-      try Typecheck.expr_type tenv ~env:[] e
-      with Typecheck.Type_error msg ->
-        unsupported "cannot type nested sub-query in native backend: %s" msg
-    in
-    match ty with
-    | Vtype.Float ->
-      let cell = ref 0.0 in
-      fillers :=
-        (fun ctx -> cell := Value.to_float (Eval.expr ctx ~env:[] e)) :: !fillers;
-      Nexpr.F (fun () -> !cell)
-    | Vtype.Int | Vtype.Date | Vtype.Bool | Vtype.String ->
-      let cell = ref 0 in
-      let dict = Nexpr.dict nctx in
-      fillers :=
-        (fun ctx ->
-          cell :=
-            (match Eval.expr ctx ~env:[] e with
-            | Value.Int i -> i
-            | Value.Date d -> d
-            | Value.Bool b -> if b then 1 else 0
-            | Value.Str s -> Lq_storage.Dict.intern dict s
-            | v ->
-              Lq_catalog.Engine_intf.execution_failed "sub-query produced %s"
-                (Value.to_string v)))
-        :: !fillers;
-      Nexpr.I ((fun () -> !cell), ty)
-    | Vtype.Record _ | Vtype.List _ ->
-      unsupported "non-scalar sub-query result in native backend"
+  let reader cursor col =
+    let f = Layout.field_at (Rowstore.layout cursor.store) col in
+    let cell = cursor.cell in
+    match f.Layout.ftype with
+    | Ftype.F64 ->
+      let r = Rowstore.float_reader ?trace cursor.store col in
+      F (fun () -> r !cell)
+    | _ ->
+      let r = Rowstore.int_reader ?trace cursor.store col in
+      I ((fun () -> r !cell), f.Layout.vty)
   in
-  let on_subquery q =
-    if Ast.is_correlated q then
-      unsupported
-        "correlated sub-query left by the decorrelation pass (native backend)"
-    else scalar_cell (Ast.Subquery q)
+  let ity (e : L.expr) =
+    match e.L.ty with
+    | L.I ty -> ty
+    | L.F | L.B -> invalid_arg "Nplan: untyped integer node"
   in
-  let on_agg_outside kind src sel =
-    match src with
-    | Ast.Subquery q when not (Ast.is_correlated q) ->
-      scalar_cell (Ast.Agg (kind, src, sel))
-    | _ -> unsupported "aggregate outside a group (native)"
+  let string_of v =
+    let f = as_int v in
+    fun () -> Dict.get dict (f ())
   in
-  let compile_expr ~env e =
-    Nexpr.compile nctx ~env ~on_agg:on_agg_outside ~on_subquery e
-  in
-  let bind1 (l : Ast.lambda) elem =
-    match l.Ast.params with
-    | [ p ] -> [ (p, elem) ]
-    | _ -> unsupported "lambda arity (native)"
-  in
-  (* A key selector yields one or more typed parts (composite keys come
-     from anonymous-type constructions). *)
-  let compile_key_parts ~env (body : Ast.expr) : (string * Nexpr.t) list =
-    match body with
-    | Ast.Record_of fields ->
-      List.map (fun (n, e) -> (n, compile_expr ~env e)) fields
-    | e -> [ (Nexpr.scalar_field, compile_expr ~env e) ]
-  in
-  let row_node store run_of_cursor =
-    let cursor = { Nexpr.store; cell = ref 0 } in
-    let cols =
-      Array.to_list (Layout.fields (Rowstore.layout store))
-      |> List.mapi (fun col (f : Layout.field) -> (f.Layout.name, col))
-    in
-    { elem = Nexpr.Row (cursor, cols); segments = 1; run = run_of_cursor cursor }
-  in
-  (* A selector body compiles to an element: a pending projection for an
-     anonymous type, the bound element itself for a bare variable (identity
-     selectors arise in join results that keep one side), or a scalar. *)
-  let elem_of_body ~env (body : Ast.expr) : Nexpr.elem =
-    match body with
-    | Ast.Record_of fields ->
-      Nexpr.Fields (List.map (fun (n, e) -> (n, compile_expr ~env e)) fields)
-    | Ast.Var name when List.mem_assoc name env -> List.assoc name env
-    | e -> Nexpr.Scalar (compile_expr ~env e)
-  in
-  (* Index-scan rewriting (§9 "indexes"): a filter conjunct
-     [src.col = closed-expr] directly over a source on an indexed column
-     probes the hash index instead of scanning; the remaining conjuncts
-     stay as filters. Only applies to catalog sources (not externally
-     staged ones) and preserves row order (index payloads are ascending
-     row numbers). *)
-  let index_probe name (preds : P.pred list) =
-    if override name <> None then None
-    else
-      match Catalog.table cat name with
-      | exception _ -> None
-      | table ->
-        let closed e = Ast.free_vars e = [] in
-        let indexed_eq (pr : P.pred) =
-          match (pr.P.lambda.Ast.params, pr.P.lambda.Ast.body) with
-          | [ pvar ], Ast.Binop (Ast.Eq, Ast.Member (Ast.Var v, col), key)
-            when String.equal v pvar && closed key && Catalog.index table col <> None
-            ->
-            Some (col, key)
-          | [ pvar ], Ast.Binop (Ast.Eq, key, Ast.Member (Ast.Var v, col))
-            when String.equal v pvar && closed key && Catalog.index table col <> None
-            ->
-            Some (col, key)
-          | _ -> None
-        in
-        let rec split seen = function
-          | [] -> None
-          | pr :: rest -> (
-            match indexed_eq pr with
-            | Some (col, key) -> Some (table, col, key, List.rev_append seen rest)
-            | None -> split (pr :: seen) rest)
-        in
-        split [] preds
-  in
-  let rec compile_plan (p : P.t) : nnode =
-    match p.P.op with
-    | P.Filter ({ P.op = P.Scan s; _ }, preds)
-      when index_probe s.P.table preds <> None ->
-      let table, col, key, residual = Option.get (index_probe s.P.table preds) in
-      let store = Catalog.store table in
-      let idx = Option.get (Catalog.index table col) in
-      (* Integer image of the probe key; string/date parameters land in
-         integer registers already encoded (dict code / day count). *)
-      let key_image = Nexpr.key_part (compile_expr ~env:[] key) in
-      ignore col;
-      let node =
-        row_node store (fun cursor sink ->
-            let cell = cursor.Nexpr.cell in
-            Lq_exec.Int_table.Multi.iter_matches idx (key_image ()) (fun row ->
-                cell := row;
-                sink ()))
+  let rec expr (e : L.expr) : v =
+    match e.L.node with
+    | L.Int_lit i -> I ((fun () -> i), ity e)
+    | L.Bool_lit b -> B (fun () -> b)
+    | L.Float_lit f -> F (fun () -> f)
+    | L.Reg k -> (
+      match e.L.ty with
+      | L.F -> F (fun () -> floats.(k))
+      | L.I ty ->
+        intern_literal k;
+        I ((fun () -> ints.(k)), ty)
+      | L.B -> B (fun () -> ints.(k) <> 0))
+    | L.Cell k -> (
+      match e.L.ty with
+      | L.F -> F (fun () -> cell_floats.(k))
+      | _ -> I ((fun () -> cell_ints.(k)), ity e))
+    | L.Col (rel, col) -> reader (Hashtbl.find cursors rel) col
+    | L.Key (g, i) -> (fst (Hashtbl.find groups g)).(i)
+    | L.Acc (g, i) -> (snd (Hashtbl.find groups g)).(i)
+    | L.To_float a ->
+      let f = as_int (expr a) in
+      F (fun () -> float_of_int (f ()))
+    | L.To_bool a ->
+      let f = as_int (expr a) in
+      B (fun () -> f () <> 0)
+    | L.Neg a -> (
+      match expr a with
+      | F f -> F (fun () -> -.f ())
+      | v ->
+        let f = as_int v in
+        I ((fun () -> -f ()), Vtype.Int))
+    | L.Not a ->
+      let f = as_bool (expr a) in
+      B (fun () -> not (f ()))
+    | L.And (a, b) ->
+      let fa = as_bool (expr a) in
+      let fb = as_bool (expr b) in
+      B (fun () -> fa () && fb ())
+    | L.Or (a, b) ->
+      let fa = as_bool (expr a) in
+      let fb = as_bool (expr b) in
+      B (fun () -> fa () || fb ())
+    | L.Arith (op, a, b) -> (
+      let int_op, float_op = arith_op op in
+      match e.L.ty with
+      | L.F ->
+        let fa = as_float (expr a) and fb = as_float (expr b) in
+        F (fun () -> float_op (fa ()) (fb ()))
+      | _ ->
+        let fa = as_int (expr a) and fb = as_int (expr b) in
+        I ((fun () -> int_op (fa ()) (fb ())), Vtype.Int))
+    | L.Cmp (op, order, a, b) -> (
+      let test = cmp_test op in
+      match order with
+      | L.By_string -> (
+        let fa = as_int (expr a) and fb = as_int (expr b) in
+        match op with
+        | L.Eq -> B (fun () -> fa () = fb ())
+        | L.Ne -> B (fun () -> fa () <> fb ())
+        | _ -> B (fun () -> test (String.compare (Dict.get dict (fa ())) (Dict.get dict (fb ())))))
+      | L.By_int ->
+        let fa = as_int (expr a) and fb = as_int (expr b) in
+        B (fun () -> test (Int.compare (fa ()) (fb ())))
+      | L.By_float ->
+        let fa = as_float (expr a) and fb = as_float (expr b) in
+        B (fun () -> test (Float.compare (fa ()) (fb ())))
+      | L.By_bool ->
+        let fa = as_bool (expr a) and fb = as_bool (expr b) in
+        B (fun () -> test (Bool.compare (fa ()) (fb ()))))
+    | L.If (c, t, f) -> (
+      let fc = as_bool (expr c) in
+      match e.L.ty with
+      | L.F ->
+        let f1 = as_float (expr t) and f2 = as_float (expr f) in
+        F (fun () -> if fc () then f1 () else f2 ())
+      | L.B ->
+        let f1 = as_bool (expr t) and f2 = as_bool (expr f) in
+        B (fun () -> if fc () then f1 () else f2 ())
+      | L.I ty ->
+        let f1 = as_int (expr t) and f2 = as_int (expr f) in
+        I ((fun () -> if fc () then f1 () else f2 ()), ty))
+    | L.Like (s, pattern) ->
+      let fs = string_of (expr s) in
+      B (fun () -> Lq_expr.Scalar.like_match ~pattern (fs ()))
+    | L.Like_param { subject; pattern; lead; trail } ->
+      let fs = string_of (expr subject) in
+      let fp = string_of (expr pattern) in
+      let affix s =
+        match (lead, trail) with
+        | false, false -> s
+        | false, true -> s ^ "%"
+        | true, false -> "%" ^ s
+        | true, true -> "%" ^ s ^ "%"
       in
-      apply_filters node residual
-    | P.Scan s -> (
-      match override s.P.table with
-      | Some { ext_store; ext_drive } ->
-        row_node ext_store (fun cursor sink ->
-            let cell = cursor.Nexpr.cell in
-            ext_drive (fun row ->
-                cell := row;
-                sink ()))
-      | None ->
-        let store = Catalog.store (Catalog.table cat s.P.table) in
-        row_node store (fun cursor sink ->
-            let cell = cursor.Nexpr.cell in
-            for i = 0 to Rowstore.length store - 1 do
-              cell := i;
-              sink ()
-            done))
-    | P.Filter (input, preds) -> apply_filters (compile_plan input) preds
-    | P.Project (input, sel) ->
-      let node = compile_plan input in
-      let env = bind1 sel node.elem in
-      let elem = elem_of_body ~env sel.Ast.body in
-      { node with elem }
-    | P.Join { left; right; left_key; right_key; result; strategy = _ } ->
-      (* The native backend always hash-joins; the plan's nested-loop hint
-         (an ablation option for the managed backend) is ignored. *)
-      let lnode = compile_plan left in
-      let rnode = compile_plan right in
+      B (fun () -> Lq_expr.Scalar.like_match ~pattern:(affix (fp ())) (fs ()))
+    | L.Case (case, a) ->
+      let fs = string_of (expr a) in
+      let convert =
+        match case with `Lower -> String.lowercase_ascii | `Upper -> String.uppercase_ascii
+      in
+      I ((fun () -> Dict.intern dict (convert (fs ()))), Vtype.String)
+    | L.Length a ->
+      let fs = string_of (expr a) in
+      I ((fun () -> String.length (fs ())), Vtype.Int)
+    | L.Abs a -> (
+      match expr a with
+      | F f -> F (fun () -> Float.abs (f ()))
+      | v ->
+        let f = as_int v in
+        I ((fun () -> abs (f ())), Vtype.Int))
+    | L.Year a ->
+      let f = as_int (expr a) in
+      I ((fun () -> Date.year (f ())), Vtype.Int)
+    | L.Add_days (d, n) ->
+      let fd = as_int (expr d) and fn = as_int (expr n) in
+      I ((fun () -> fd () + fn ()), Vtype.Date)
+  in
+  let to_value = function
+    | I (f, Vtype.Int) -> fun () -> Value.Int (f ())
+    | I (f, Vtype.Date) -> fun () -> Value.Date (f ())
+    | I (f, Vtype.Bool) -> fun () -> Value.Bool (f () <> 0)
+    | I (f, Vtype.String) -> fun () -> Value.Str (Dict.get dict (f ()))
+    | I (f, _) -> fun () -> Value.Int (f ())
+    | F f -> fun () -> Value.Float (f ())
+    | B f -> fun () -> Value.Bool (f ())
+  in
+  let key_closures keys = Array.of_list (List.concat_map (fun e -> key_parts (expr e)) keys) in
+  (* Materialize the spilled columns into a fresh flat intermediate store,
+     one monomorphic writer per column with offsets resolved once;
+     [alloc_row] has grown the buffer before any write runs. *)
+  let spill ({ rel; cols } : L.spill) =
+    let layout = ir.L.rels.(rel) in
+    let store = Rowstore.create ~layout ~dict () in
+    let width = Layout.row_width layout in
+    let writers =
+      List.mapi
+        (fun col e ->
+          let f = Layout.field_at layout col in
+          let off = f.Layout.offset in
+          match (expr e, f.Layout.ftype) with
+          | F g, _ -> fun row -> Fbuf.set_f64 (Rowstore.data store) ((row * width) + off) (g ())
+          | v, Ftype.I64 ->
+            let g = as_int v in
+            fun row -> Fbuf.set_i64 (Rowstore.data store) ((row * width) + off) (g ())
+          | v, (Ftype.I32 | Ftype.Date32 | Ftype.Str32) ->
+            let g = as_int v in
+            fun row -> Fbuf.set_i32 (Rowstore.data store) ((row * width) + off) (g ())
+          | v, Ftype.Bool8 ->
+            let g = as_int v in
+            fun row -> Fbuf.set_bool (Rowstore.data store) ((row * width) + off) (g () <> 0)
+          | _, Ftype.F64 -> assert false)
+        cols
+    in
+    let writers = Array.of_list writers in
+    let nwriters = Array.length writers in
+    let write_current () =
+      let row = Rowstore.alloc_row store in
+      for w = 0 to nwriters - 1 do
+        (Array.unsafe_get writers w) row
+      done;
+      row
+    in
+    (store, write_current, new_cursor rel store)
+  in
+  (* Conjuncts arrive cheapest-first; wrapping in list order runs the
+     cheapest test first. *)
+  let filters run preds =
+    List.fold_left
+      (fun run pred ->
+        let p = as_bool (expr pred) in
+        fun sink -> run (fun () -> if p () then sink ()))
+      run preds
+  in
+  let rec loop (l : L.loop) : (unit -> unit) -> unit =
+    match l with
+    | L.Scan { rel; table; store; staged } ->
+      let cell = (new_cursor rel store).cell in
+      if staged then begin
+        let drive =
+          match drive with
+          | Some drive -> drive table
+          | None -> invalid_arg ("Nplan.compile: no driver for staged source " ^ table)
+        in
+        fun sink ->
+          drive (fun row ->
+              cell := row;
+              sink ())
+      end
+      else fun sink ->
+        for i = 0 to Rowstore.length store - 1 do
+          cell := i;
+          sink ()
+        done
+    | L.Filter { input = L.Scan { rel; store; _ }; preds; probe = Some { index; conjunct; key } } ->
+      (* The index yields ascending row numbers: scan order is kept. *)
+      let key_image = key_part (expr key) in
+      let cell = (new_cursor rel store).cell in
+      let run sink =
+        Lq_exec.Int_table.Multi.iter_matches index (key_image ()) (fun row ->
+            cell := row;
+            sink ())
+      in
+      filters run (List.filteri (fun i _ -> i <> conjunct) preds)
+    | L.Filter { input; preds; _ } -> filters (loop input) preds
+    | L.Join { left; right; lkey; rkey; build } ->
+      let lrun = loop left in
+      let rrun = loop right in
       (* Build side: spill the right input, key it in a flat hash table. *)
-      let rkey_parts =
-        compile_key_parts ~env:(bind1 right_key rnode.elem) right_key.Ast.body
-      in
-      let rkey_closures =
-        Array.of_list
-          (List.concat_map (fun (_, t) -> Nexpr.key_parts t) rkey_parts)
-      in
+      let rkey_closures = key_closures rkey in
       let nparts = Array.length rkey_closures in
-      let rstore, rwrite, rcursor, relem = spill nctx rnode.elem in
+      let rstore, rwrite, rcursor = spill build in
       let tbl = Ht.create ?trace ~nparts ~hint:1024 () in
-      let lkey_parts =
-        compile_key_parts ~env:(bind1 left_key lnode.elem) left_key.Ast.body
-      in
-      let lkey_closures =
-        Array.of_list
-          (List.concat_map (fun (_, t) -> Nexpr.key_parts t) lkey_parts)
-      in
-      if Array.length lkey_closures <> nparts then
-        unsupported "join key arity mismatch (native)";
-      let renv =
-        match result.Ast.params with
-        | [ pl; pr ] -> [ (pl, lnode.elem); (pr, relem) ]
-        | _ -> unsupported "join result arity (native)"
-      in
-      let elem = elem_of_body ~env:renv result.Ast.body in
+      let lkey_closures = key_closures lkey in
       let scratch = Array.make nparts 0 in
-      {
-        elem;
-        segments = lnode.segments + rnode.segments;
-        run =
-          (fun sink ->
-            Ht.clear tbl;
-            Rowstore.clear rstore;
-            (try
-               rnode.run (fun () ->
-                   for p = 0 to nparts - 1 do
-                     scratch.(p) <- rkey_closures.(p) ()
-                   done;
-                   let slot = Ht.lookup_or_insert tbl scratch in
-                   Ht.attach tbl ~slot (rwrite ()))
-             with Enough -> ());
-            let rcell = rcursor.Nexpr.cell in
-            lnode.run (fun () ->
-                for p = 0 to nparts - 1 do
-                  scratch.(p) <- lkey_closures.(p) ()
-                done;
-                match Ht.find tbl scratch with
-                | None -> ()
-                | Some slot ->
-                  Ht.iter_attached tbl ~slot (fun row ->
-                      rcell := row;
-                      sink ())));
-      }
-    | P.Aggregate a -> compile_group a
-    | P.Sort (input, keys) -> compile_sort input keys None
-    | P.Top_k { input; keys; limit } ->
-      let limit = Nexpr.as_int (compile_expr ~env:[] limit) in
-      compile_sort input keys (Some limit)
-    | P.Limit (input, n) ->
-      let node = compile_plan input in
-      let limit = Nexpr.as_int (compile_expr ~env:[] n) in
-      {
-        node with
-        run =
-          (fun sink ->
-            let lim = limit () in
-            if lim > 0 then begin
-              let emitted = ref 0 in
-              try
-                node.run (fun () ->
-                    sink ();
-                    incr emitted;
-                    if !emitted >= lim then raise Enough)
-              with Enough -> ()
-            end);
-      }
-    | P.Offset (input, n) ->
-      let node = compile_plan input in
-      let limit = Nexpr.as_int (compile_expr ~env:[] n) in
-      {
-        node with
-        run =
-          (fun sink ->
-            let lim = limit () in
-            let seen = ref 0 in
-            node.run (fun () ->
-                incr seen;
-                if !seen > lim then sink ()));
-      }
-    | P.Distinct input ->
-      let node = compile_plan input in
-      let fields = Nexpr.elem_fields nctx node.elem in
-      let closures =
-        Array.of_list (List.concat_map (fun (_, t) -> Nexpr.key_parts t) fields)
-      in
+      let rcell = rcursor.cell in
+      fun sink ->
+        Ht.clear tbl;
+        Rowstore.clear rstore;
+        (try
+           rrun (fun () ->
+               for p = 0 to nparts - 1 do
+                 scratch.(p) <- rkey_closures.(p) ()
+               done;
+               let slot = Ht.lookup_or_insert tbl scratch in
+               Ht.attach tbl ~slot (rwrite ()))
+         with Enough -> ());
+        lrun (fun () ->
+            for p = 0 to nparts - 1 do
+              scratch.(p) <- lkey_closures.(p) ()
+            done;
+            match Ht.find tbl scratch with
+            | None -> ()
+            | Some slot ->
+              Ht.iter_attached tbl ~slot (fun row ->
+                  rcell := row;
+                  sink ()))
+    | L.Group { id; input; key; accs } -> group id input key accs
+    | L.Sort { input; spill = sp; keys; limit } -> sort input sp keys limit
+    | L.Limit (input, n) ->
+      let run = loop input in
+      let limit = as_int (expr n) in
+      fun sink ->
+        let lim = limit () in
+        if lim > 0 then begin
+          let emitted = ref 0 in
+          try
+            run (fun () ->
+                sink ();
+                incr emitted;
+                if !emitted >= lim then raise Enough)
+          with Enough -> ()
+        end
+    | L.Offset (input, n) ->
+      let run = loop input in
+      let offset = as_int (expr n) in
+      fun sink ->
+        let off = offset () in
+        let seen = ref 0 in
+        run (fun () ->
+            incr seen;
+            if !seen > off then sink ())
+    | L.Distinct (input, keys) ->
+      let run = loop input in
+      let closures = key_closures keys in
       let nparts = Array.length closures in
       let scratch = Array.make nparts 0 in
-      {
-        node with
-        run =
-          (fun sink ->
-            let tbl = Ht.create ?trace ~nparts ~hint:256 () in
-            node.run (fun () ->
-                for p = 0 to nparts - 1 do
-                  scratch.(p) <- closures.(p) ()
-                done;
-                let before = Ht.count tbl in
-                let (_ : int) = Ht.lookup_or_insert tbl scratch in
-                if Ht.count tbl > before then sink ()));
-      }
-  and apply_filters node (preds : P.pred list) : nnode =
-    (* Conjuncts arrive cheapest-first; wrapping in list order runs the
-       cheapest test first. *)
-    List.fold_left
-      (fun node (pr : P.pred) ->
-        let cpred =
-          Nexpr.as_bool (compile_expr ~env:(bind1 pr.P.lambda node.elem) pr.P.lambda.Ast.body)
-        in
-        { node with run = (fun sink -> node.run (fun () -> if cpred () then sink ())) })
-      node preds
-  and compile_group (a : P.aggregate) : nnode =
-    let node = compile_plan a.P.input in
-    let key = a.P.key in
-    let result =
-      match a.P.group_result with
-      | Some r -> r
-      | None ->
-        unsupported
-          "GroupBy without result selector: group objects are not flat (native)"
+      fun sink ->
+        let tbl = Ht.create ?trace ~nparts ~hint:256 () in
+        run (fun () ->
+            for p = 0 to nparts - 1 do
+              scratch.(p) <- closures.(p) ()
+            done;
+            let before = Ht.count tbl in
+            let (_ : int) = Ht.lookup_or_insert tbl scratch in
+            if Ht.count tbl > before then sink ())
+  and group id input key accs =
+    let run = loop input in
+    let key_vs = List.map expr key in
+    (* Each key field occupies one or two flattened hash-key parts (floats
+       need two); remember the offsets for the output phase. *)
+    let _, offsets =
+      List.fold_left_map (fun off v -> (off + List.length (key_parts v), off)) 0 key_vs
     in
-    let gvar =
-      match result.Ast.params with
-      | [ p ] -> p
-      | _ -> unsupported "group result arity (native)"
-    in
-    let key_fields = compile_key_parts ~env:(bind1 key node.elem) key.Ast.body in
-    (* Each field occupies one or two flattened hash-key parts (floats need
-       two, §Nexpr.key_parts); remember the offsets for the output phase. *)
-    let _, key_specs =
-      List.fold_left_map
-        (fun off (name, t) ->
-          let width = List.length (Nexpr.key_parts t) in
-          (off + width, (name, t, off)))
-        0 key_fields
-    in
-    let key_closures =
-      Array.of_list (List.concat_map (fun (_, t) -> Nexpr.key_parts t) key_fields)
-    in
+    let key_closures = Array.of_list (List.concat_map key_parts key_vs) in
     let nparts = Array.length key_closures in
     let tbl = Ht.create ?trace ~nparts ~hint:256 () in
     let cur_slot = ref 0 in
@@ -436,182 +434,125 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
        detect first-touch) — computed once, the §2.3 "overlap" fix. *)
     let counts = ref (Array.make 64 0) in
     (* Key readers for the output phase, typed like the key expressions. *)
-    let key_reader part (t : Nexpr.t) : Nexpr.t =
-      match t with
-      | Nexpr.F _ ->
-        Nexpr.F
+    let key_reader part (v : v) =
+      match v with
+      | F _ ->
+        F
           (fun () ->
-            Nexpr.float_of_key_parts
+            float_of_key_parts
               ~hi:(Ht.key_part tbl ~slot:!cur_slot ~part)
               ~lo:(Ht.key_part tbl ~slot:!cur_slot ~part:(part + 1)))
-      | Nexpr.B _ -> Nexpr.B (fun () -> Ht.key_part tbl ~slot:!cur_slot ~part <> 0)
-      | Nexpr.I (_, ty) ->
-        Nexpr.I ((fun () -> Ht.key_part tbl ~slot:!cur_slot ~part), ty)
+      | B _ -> B (fun () -> Ht.key_part tbl ~slot:!cur_slot ~part <> 0)
+      | I (_, ty) -> I ((fun () -> Ht.key_part tbl ~slot:!cur_slot ~part), ty)
     in
-    let gkey_elem =
-      match key.Ast.body with
-      | Ast.Record_of _ ->
-        Nexpr.Fields
-          (List.map (fun (n, t, off) -> (n, key_reader off t)) key_specs)
-      | _ ->
-        let _, t, off = List.hd key_specs in
-        Nexpr.Scalar (key_reader off t)
-    in
-    (* Fused accumulators: the plan's registry fixes the deduplicated
-       accumulator set and the per-occurrence slots. *)
-    let dict = Nexpr.dict nctx in
-    let make_acc kind (sel : Ast.lambda option) : (slot:int -> fresh:bool -> unit) * Nexpr.t =
-      let selected () =
-        match sel with
-        | None -> (
-          match Nexpr.elem_fields nctx node.elem with
-          | [ (_, t) ] -> t
-          | _ -> unsupported "aggregate without selector over a row (native)")
-        | Some (l : Ast.lambda) -> (
-          match l.Ast.params with
-          | [ p ] -> compile_expr ~env:[ (p, node.elem) ] l.Ast.body
-          | _ -> unsupported "aggregate selector arity (native)")
-      in
-      match (kind : Ast.agg) with
-      | Ast.Count ->
-        ( (fun ~slot:_ ~fresh:_ -> ()),
-          Nexpr.I ((fun () -> !counts.(!cur_slot)), Vtype.Int) )
-      | Ast.Sum -> (
-        match selected () with
-        | Nexpr.F f ->
+    let make_acc (acc : L.acc) : (slot:int -> fresh:bool -> unit) * v =
+      match acc with
+      | L.Count -> ((fun ~slot:_ ~fresh:_ -> ()), I ((fun () -> !counts.(!cur_slot)), Vtype.Int))
+      | L.Sum e -> (
+        match expr e with
+        | F f ->
           let sums = ref (Array.make 64 0.0) in
           ( (fun ~slot ~fresh ->
               grow_f sums slot;
               if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) +. f ()),
-            Nexpr.F (fun () -> !sums.(!cur_slot)) )
-        | Nexpr.I (f, Vtype.Int) ->
+            F (fun () -> !sums.(!cur_slot)) )
+        | v ->
+          let f = as_int v in
           let sums = ref (Array.make 64 0) in
           ( (fun ~slot ~fresh ->
               grow_i sums slot;
               if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) + f ()),
-            Nexpr.I ((fun () -> !sums.(!cur_slot)), Vtype.Int) )
-        | _ -> unsupported "Sum over non-numeric (native)")
-      | Ast.Avg ->
-        let f = Nexpr.as_float (selected ()) in
+            I ((fun () -> !sums.(!cur_slot)), Vtype.Int) ))
+      | L.Avg e ->
+        let f = as_float (expr e) in
         let sums = ref (Array.make 64 0.0) in
         ( (fun ~slot ~fresh ->
             grow_f sums slot;
             if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) +. f ()),
-          Nexpr.F (fun () -> !sums.(!cur_slot) /. float_of_int !counts.(!cur_slot)) )
-      | Ast.Min | Ast.Max -> (
-        let keep_left cmp = match kind with Ast.Min -> cmp < 0 | _ -> cmp > 0 in
-        match selected () with
-        | Nexpr.F f ->
+          F (fun () -> !sums.(!cur_slot) /. float_of_int !counts.(!cur_slot)) )
+      | L.Min_max { max; arg; order } -> (
+        let keep_left cmp = if max then cmp > 0 else cmp < 0 in
+        match (order, expr arg) with
+        | L.By_float, v ->
+          let f = as_float v in
           let best = ref (Array.make 64 0.0) in
           ( (fun ~slot ~fresh ->
               grow_f best slot;
               let v = f () in
               if fresh || keep_left (Float.compare v !best.(slot)) then !best.(slot) <- v),
-            Nexpr.F (fun () -> !best.(!cur_slot)) )
-        | Nexpr.I (f, Vtype.String) ->
+            F (fun () -> !best.(!cur_slot)) )
+        | L.By_string, v ->
+          let f = as_int v in
           let best = ref (Array.make 64 0) in
           ( (fun ~slot ~fresh ->
               grow_i best slot;
               let v = f () in
               if
                 fresh
-                || keep_left
-                     (String.compare (Lq_storage.Dict.get dict v)
-                        (Lq_storage.Dict.get dict !best.(slot)))
+                || keep_left (String.compare (Dict.get dict v) (Dict.get dict !best.(slot)))
               then !best.(slot) <- v),
-            Nexpr.I ((fun () -> !best.(!cur_slot)), Vtype.String) )
-        | Nexpr.I (f, ty) ->
+            I ((fun () -> !best.(!cur_slot)), Vtype.String) )
+        | _, v ->
+          let f = as_int v in
           let best = ref (Array.make 64 0) in
           ( (fun ~slot ~fresh ->
               grow_i best slot;
               let v = f () in
               if fresh || keep_left (Int.compare v !best.(slot)) then !best.(slot) <- v),
-            Nexpr.I ((fun () -> !best.(!cur_slot)), ty) )
-        | Nexpr.B _ -> unsupported "Min/Max over bool (native)")
+            I ((fun () -> !best.(!cur_slot)), ity arg) ))
     in
-    if not a.P.fused then
-      unsupported "unfused aggregation (the native backend always fuses)";
-    let reg = P.Registry.of_aggregate a in
-    let accs =
-      Array.init (P.Registry.length reg) (fun i ->
-          let s = P.Registry.spec reg i in
-          make_acc s.P.agg s.P.sel)
-    in
-    let on_agg kind src sel =
-      match src with
-      | Ast.Var v when String.equal v gvar ->
-        snd accs.(P.Registry.next reg kind sel)
-      | Ast.Subquery _ -> on_agg_outside kind src sel
-      | _ -> unsupported "aggregate source (native)"
-    in
-    let body = rewrite_gkey gvar result.Ast.body in
-    let env = [ (gkey_var, gkey_elem) ] in
-    let compile_result e =
-      Nexpr.compile nctx ~env ~on_agg ~on_subquery e
-    in
-    let elem =
-      match body with
-      | Ast.Record_of fields ->
-        Nexpr.Fields (List.map (fun (n, e) -> (n, compile_result e)) fields)
-      | e -> Nexpr.Scalar (compile_result e)
-    in
+    let accs = Array.map make_acc accs in
+    Hashtbl.replace groups id
+      (Array.of_list (List.map2 key_reader offsets key_vs), Array.map snd accs);
     let scratch = Array.make nparts 0 in
     let update_arr = Array.map fst accs in
-    {
-      elem;
-      segments = node.segments + 1;
-      run =
-        (fun sink ->
-          Ht.clear tbl;
-          Array.fill !counts 0 (Array.length !counts) 0;
-          (try
-             node.run (fun () ->
-                 for p = 0 to nparts - 1 do
-                   scratch.(p) <- key_closures.(p) ()
-                 done;
-                 let before = Ht.count tbl in
-                 let slot = Ht.lookup_or_insert tbl scratch in
-                 let fresh = Ht.count tbl > before in
-                 grow_i counts slot;
-                 for a = 0 to Array.length update_arr - 1 do
-                   update_arr.(a) ~slot ~fresh
-                 done;
-                 !counts.(slot) <- !counts.(slot) + 1)
-           with Enough -> ());
-          for slot = 0 to Ht.count tbl - 1 do
-            cur_slot := slot;
-            sink ()
-          done);
-    }
-  and compile_sort (input : P.t) keys limit : nnode =
-    let node = compile_plan input in
-    let store, write, cursor, elem = spill nctx node.elem in
-    (* Per-key extraction columns, typed; strings decode once at spill. *)
+    fun sink ->
+      Ht.clear tbl;
+      Array.fill !counts 0 (Array.length !counts) 0;
+      (try
+         run (fun () ->
+             for p = 0 to nparts - 1 do
+               scratch.(p) <- key_closures.(p) ()
+             done;
+             let before = Ht.count tbl in
+             let slot = Ht.lookup_or_insert tbl scratch in
+             let fresh = Ht.count tbl > before in
+             grow_i counts slot;
+             for a = 0 to Array.length update_arr - 1 do
+               update_arr.(a) ~slot ~fresh
+             done;
+             !counts.(slot) <- !counts.(slot) + 1)
+       with Enough -> ());
+      for slot = 0 to Ht.count tbl - 1 do
+        cur_slot := slot;
+        sink ()
+      done
+  and sort input sp keys limit =
+    let run = loop input in
+    let store, write, cursor = spill sp in
+    (* Per-key extraction columns, typed; strings decode at compare. *)
     let extractors =
       List.map
-        (fun (k : Ast.sort_key) ->
-          let t = compile_expr ~env:(bind1 k.Ast.by node.elem) k.Ast.by.Ast.body in
-          let sign = match k.Ast.dir with Ast.Asc -> 1 | Ast.Desc -> -1 in
-          match t with
-          | Nexpr.F f ->
+        (fun ({ by; order; desc } : L.sort_key) ->
+          let sign = if desc then -1 else 1 in
+          match (order, expr by) with
+          | L.By_float, v ->
+            let f = as_float v in
             let col = ref (Array.make 1024 0.0) in
             ( (fun row ->
                 grow_f col row;
                 !col.(row) <- f ()),
               fun i j -> sign * Float.compare !col.(i) !col.(j) )
-          | Nexpr.I (f, Vtype.String) ->
+          | L.By_string, v ->
+            let f = as_int v in
             let col = ref (Array.make 1024 0) in
-            let dict = Nexpr.dict nctx in
             ( (fun row ->
                 grow_i col row;
                 !col.(row) <- f ()),
               fun i j ->
-                sign
-                * String.compare
-                    (Lq_storage.Dict.get dict !col.(i))
-                    (Lq_storage.Dict.get dict !col.(j)) )
-          | t ->
-            let f = Nexpr.key_part t in
+                sign * String.compare (Dict.get dict !col.(i)) (Dict.get dict !col.(j)) )
+          | _, v ->
+            let f = key_part v in
             let col = ref (Array.make 1024 0) in
             ( (fun row ->
                 grow_i col row;
@@ -619,6 +560,7 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
               fun i j -> sign * Int.compare !col.(i) !col.(j) ))
         keys
     in
+    let limit = Option.map (fun e -> as_int (expr e)) limit in
     let comparators = Array.of_list (List.map snd extractors) in
     let nkeys = Array.length comparators in
     let cmp i j =
@@ -630,72 +572,81 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
       in
       go 0
     in
-    {
-      elem;
-      segments = node.segments + 1;
-      run =
-        (fun sink ->
-          Rowstore.clear store;
-          let count = ref 0 in
-          (try
-             node.run (fun () ->
-                 let row = write () in
-                 List.iter (fun (extract, _) -> extract row) extractors;
-                 incr count)
-           with Enough -> ());
-          let n = !count in
-          let cell = cursor.Nexpr.cell in
-          let emit idx =
-            Array.iter
-              (fun i ->
-                cell := i;
-                sink ())
-              idx
-          in
-          match limit with
-          | None ->
-            let idx = Array.init n Fun.id in
-            Lq_exec.Quicksort.indices_by ~cmp idx;
-            emit idx
-          | Some limit ->
-            let k = limit () in
-            let heap = Lq_exec.Topk.create ~cmp:(fun i j -> cmp i j) ~k in
-            for i = 0 to n - 1 do
-              Lq_exec.Topk.push heap i
-            done;
-            emit (Array.of_list (Lq_exec.Topk.to_sorted_list heap)));
-    }
+    let cell = cursor.cell in
+    fun sink ->
+      Rowstore.clear store;
+      let count = ref 0 in
+      (try
+         run (fun () ->
+             let row = write () in
+             List.iter (fun (extract, _) -> extract row) extractors;
+             incr count)
+       with Enough -> ());
+      let n = !count in
+      let emit idx =
+        Array.iter
+          (fun i ->
+            cell := i;
+            sink ())
+          idx
+      in
+      match limit with
+      | None ->
+        let idx = Array.init n Fun.id in
+        Lq_exec.Quicksort.indices_by ~cmp idx;
+        emit idx
+      | Some limit ->
+        let k = limit () in
+        let heap = Lq_exec.Topk.create ~cmp:(fun i j -> cmp i j) ~k in
+        for i = 0 to n - 1 do
+          Lq_exec.Topk.push heap i
+        done;
+        emit (Array.of_list (Lq_exec.Topk.to_sorted_list heap))
   in
-  let root = compile_plan lowered in
-  let emit = Nexpr.elem_to_value nctx root.elem in
-  {
-    nctx;
-    cat;
-    root;
-    emit;
-    fillers = !fillers;
-    segments = root.segments;
-    mu = Mutex.create ();
-  }
+  let run = loop ir.L.root in
+  let emit =
+    match ir.L.out with
+    | L.Scalar e -> to_value (expr e)
+    | L.Fields fields ->
+      let names = Array.of_list (List.map fst fields) in
+      let boxed = Array.of_list (List.map (fun (_, e) -> to_value (expr e)) fields) in
+      fun () -> Value.Record (Array.mapi (fun i f -> (names.(i), f ())) boxed)
+    | L.Row rel ->
+      (* Per-column readers with offsets resolved once (the §5.1 "return
+         a pointer and decode in the caller" boundary). *)
+      let cursor = Hashtbl.find cursors rel in
+      let cell = cursor.cell in
+      let fields = Layout.fields (Rowstore.layout cursor.store) in
+      let names = Array.map (fun (f : Layout.field) -> f.Layout.name) fields in
+      let readers = Array.mapi (fun col _ -> Rowstore.value_reader cursor.store col) fields in
+      fun () -> Value.Record (Array.mapi (fun i r -> (names.(i), r !cell)) readers)
+  in
+  Array.iteri (fun k _ -> intern_literal k) ir.L.int_regs;
+  { ir; dict; ints; floats; cell_ints; cell_floats; run; emit; mu = Mutex.create () }
 
-let compile ?(options = Lq_plan.Options.default) ?trace ?override cat
-    (query : Ast.query) : t =
-  compile_lowered ?trace ?override cat (Lq_plan.Lower.lower ~options cat query)
-
-(* A compiled plan is a bundle of closures over shared cursors, parameter
-   cells and accumulator arrays — one execution at a time. The cache hands
-   the same plan to every Domain, so executions of the *same* plan
-   serialize here; distinct plans still run in parallel. *)
+(* A compiled plan is a bundle of closures over shared cursors, registers
+   and accumulator arrays — one execution at a time. The cache hands the
+   same plan to every Domain, so executions of the *same* plan serialize
+   here; distinct plans still run in parallel. *)
 let execute t ~params () =
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-      Nexpr.bind_params t.nctx params;
-      let ectx = Catalog.eval_ctx t.cat ~params in
-      List.iter (fun fill -> fill ectx) t.fillers;
+      L.bind t.ir t.dict params ~int:(Array.set t.ints) ~float:(Array.set t.floats);
+      if Array.length t.ir.L.cells > 0 then begin
+        let ectx = Catalog.eval_ctx t.ir.L.cat ~params in
+        Array.iteri
+          (fun k (cell : L.cell) ->
+            let v = cell.L.eval ectx in
+            match cell.L.cell_ty with
+            | L.F -> t.cell_floats.(k) <- Value.to_float v
+            | L.I _ | L.B -> (
+              match L.int_image t.dict v with
+              | Some i -> t.cell_ints.(k) <- i
+              | None -> Engine_intf.execution_failed "sub-query produced %s" (Value.to_string v)))
+          t.ir.L.cells
+      end;
       let acc = ref [] in
-      t.root.run (fun () -> acc := t.emit () :: !acc);
+      t.run (fun () -> acc := t.emit () :: !acc);
       List.rev !acc)
-
-let segments t = t.segments

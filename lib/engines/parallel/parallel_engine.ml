@@ -272,27 +272,26 @@ let make ?name ~domains () : Engine_intf.t =
     let store = Catalog.store (Catalog.table cat source_name) in
     let nrows = Rowstore.length store in
     let workers = max 1 (min domains (max 1 nrows)) in
-    (* One independent compiled plan per worker Domain, scanning whatever
+    (* The pipeline is lowered and typed once; each worker Domain gets its
+       own compiled plan (closures own their cursors), scanning whatever
        row range its mutable cell holds when it executes: each pulled
        work unit re-aims the cell. *)
+    let ir =
+      Lq_native.Loop.lower
+        ~staged:(fun name -> if String.equal name source_name then Some store else None)
+        cat
+        (Lq_plan.Lower.lower cat pipeline)
+    in
     let wplans =
       List.init workers (fun _ ->
           let range = ref (0, 0) in
-          let override name =
-            if String.equal name source_name then
-              Some
-                {
-                  Nplan.ext_store = store;
-                  ext_drive =
-                    (fun emit ->
-                      let lo, hi = !range in
-                      for row = lo to hi - 1 do
-                        emit row
-                      done);
-                }
-            else None
+          let drive _ emit =
+            let lo, hi = !range in
+            for row = lo to hi - 1 do
+              emit row
+            done
           in
-          (Nplan.compile ~override cat pipeline, range))
+          (Nplan.compile ~drive ir, range))
     in
     let codegen_ms = Lq_metrics.Profile.now_ms () -. start in
     (* The range cells and the shared morsel counter are per-execution

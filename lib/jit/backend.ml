@@ -29,8 +29,8 @@ let digest_of_program (p : Codegen_c.program) =
   List.iter (fun t -> Buffer.add_string b ("\x01" ^ t)) p.scan_tables;
   List.iter
     (function
-      | Codegen_c.Named n -> Buffer.add_string b ("\x02" ^ n)
-      | Codegen_c.Str_const s -> Buffer.add_string b ("\x03" ^ s))
+      | Lq_native.Loop.Named n -> Buffer.add_string b ("\x02" ^ n)
+      | Lq_native.Loop.Str_const s -> Buffer.add_string b ("\x03" ^ s))
     p.int_params;
   List.iter (fun n -> Buffer.add_string b ("\x04" ^ n)) p.float_params;
   List.iter

@@ -26,12 +26,13 @@ val raw_call :
   int ->
   int
 (** [raw_call fn srcs nrows ip fp db dofs out cap] invokes an [lq_query]
-    entry point (ABI v1, see {!Lq_native.Codegen_c}): [srcs]/[nrows] are
+    entry point (ABI v2, see {!Lq_native.Codegen_c}): [srcs]/[nrows] are
     the row pages and row counts of each scan, [ip]/[fp] the packed
     int64-LE / f64-LE parameter registers, [db]/[dofs] the dictionary
     snapshot (concatenated strings + int32-LE offsets), [out] the packed
     result buffer of capacity [cap] rows. Returns the {e total} row count
     (rows beyond [cap] are counted, not written — grow and call again),
-    or [-1] if the object ran out of arena memory.
+    [-1] if the object ran out of arena memory, or [-2] on a zero integer
+    divisor.
 
     The OCaml runtime lock is held for the whole call. *)

@@ -1,16 +1,14 @@
 module Engine_intf = Lq_catalog.Engine_intf
 module Catalog = Lq_catalog.Catalog
 module Value = Lq_value.Value
-module Vtype = Lq_value.Vtype
 module Layout = Lq_storage.Layout
-module Ftype = Lq_storage.Ftype
-module Fbuf = Lq_storage.Fbuf
 module Dict = Lq_storage.Dict
 module Rowstore = Lq_storage.Rowstore
 module Profile = Lq_metrics.Profile
 module Counters = Lq_metrics.Counters
 module Trace = Lq_trace.Trace
 module Codegen_c = Lq_native.Codegen_c
+module Loop = Lq_native.Loop
 module Nplan = Lq_native.Nplan
 
 let counters = Backend.counters
@@ -44,99 +42,41 @@ let snapshot cache dict =
     Atomic.set cache (Some (n, db, dofs));
     (db, dofs)
 
-(* --- register binding (mirrors Nexpr.bind_params) -------------------- *)
-
-let lookup params name =
-  match List.assoc_opt name params with
-  | Some v -> v
-  | None -> Engine_intf.execution_failed "unbound query parameter %S" name
-
-let pack_int_params dict params (int_params : Codegen_c.cparam list) =
-  let ip = Bytes.create (8 * List.length int_params) in
-  List.iteri
-    (fun i p ->
-      let v =
-        match p with
-        | Codegen_c.Str_const s -> Dict.intern dict s
-        | Codegen_c.Named name -> (
-          match lookup params name with
-          | Value.Int i -> i
-          | Value.Date d -> d
-          | Value.Bool b -> if b then 1 else 0
-          | Value.Str s -> Dict.intern dict s
-          | v ->
-            Engine_intf.execution_failed "parameter %S: expected integer-like, got %s" name
-              (Value.to_string v))
-      in
-      Bytes.set_int64_le ip (i * 8) (Int64.of_int v))
-    int_params;
-  ip
-
-let pack_float_params params float_params =
-  let fp = Bytes.create (8 * List.length float_params) in
-  List.iteri
-    (fun i name ->
-      Bytes.set_int64_le fp (i * 8) (Int64.bits_of_float (Value.to_float (lookup params name))))
-    float_params;
-  fp
-
-(* --- result decoding -------------------------------------------------- *)
-
-let decode_field dict buf base (f : Layout.field) =
-  let off = base + f.Layout.offset in
-  let as_int () =
-    match f.Layout.ftype with
-    | Ftype.I64 -> Fbuf.get_i64 buf off
-    | Ftype.I32 | Ftype.Date32 | Ftype.Str32 -> Fbuf.get_i32 buf off
-    | Ftype.Bool8 -> if Fbuf.get_bool buf off then 1 else 0
-    | Ftype.F64 -> Engine_intf.execution_failed "jit: float field decoded as int"
-  in
-  match f.Layout.vty with
-  | Vtype.Float -> Value.Float (Fbuf.get_f64 buf off)
-  | Vtype.Int -> Value.Int (as_int ())
-  | Vtype.Date -> Value.Date (as_int ())
-  | Vtype.Bool -> Value.Bool (as_int () <> 0)
-  | Vtype.String -> Value.Str (Dict.get dict (as_int ()))
-  | Vtype.Record _ | Vtype.List _ ->
-    Engine_intf.execution_failed "jit: non-scalar result field"
-
-let decode_rows ~out_scalar out_layout dict buf total =
-  let width = Layout.row_width out_layout in
-  let fields = Layout.fields out_layout in
-  let rows = ref [] in
-  for r = total - 1 downto 0 do
-    let base = r * width in
-    let v =
-      if out_scalar then decode_field dict buf base fields.(0)
-      else Value.Record (Array.map (fun f -> (f.Layout.name, decode_field dict buf base f)) fields)
-    in
-    rows := v :: !rows
-  done;
-  !rows
-
-let short_digest d = if String.length d > 12 then String.sub d 0 12 else d
-
 (* --- the native call --------------------------------------------------- *)
+
+(* What executing one compiled program needs, fixed at prepare. *)
+type native = {
+  ir : Loop.t;
+  prog : Codegen_c.program;
+  stores : Rowstore.t array;  (** behind [prog.scan_tables] *)
+  out_layout : Layout.t;
+  snap : (int * Bytes.t * Bytes.t) option Atomic.t;
+}
 
 (* Everything the entry point consumes, in one place: the in-process
    trampoline and the validation sandbox must see byte-identical inputs
-   or the differential check would compare different executions. *)
-let pack (prog : Codegen_c.program) stores out_layout snap dict ~params : Validate.input =
-  let ip = pack_int_params dict params prog.Codegen_c.int_params in
-  let fp = pack_float_params params prog.Codegen_c.float_params in
-  (* Snapshot after interning: parameter strings must be in the snapshot. *)
+   or the differential check would compare different executions. The
+   registers are bound by the interpreter's own binding ([Loop.bind]). *)
+let pack n dict ~params : Validate.input =
+  let ip = Bytes.create (8 * Array.length n.ir.Loop.int_regs) in
+  let fp = Bytes.create (8 * Array.length n.ir.Loop.float_regs) in
+  Loop.bind n.ir dict params
+    ~int:(fun k v -> Bytes.set_int64_le ip (k * 8) (Int64.of_int v))
+    ~float:(fun k v -> Bytes.set_int64_le fp (k * 8) (Int64.bits_of_float v));
+  (* Snapshot after binding, which interns: parameter strings must be in
+     the snapshot. *)
   let db, dofs =
-    if prog.Codegen_c.needs_dict then snapshot snap dict else (Bytes.empty, Bytes.empty)
+    if n.prog.Codegen_c.needs_dict then snapshot n.snap dict else (Bytes.empty, Bytes.empty)
   in
   (* Row pages re-fetched per execution: appends re-allocate the buffer. *)
   {
-    Validate.srcs = Array.map Rowstore.data stores;
-    nrows = Array.map Rowstore.length stores;
+    Validate.srcs = Array.map Rowstore.data n.stores;
+    nrows = Array.map Rowstore.length n.stores;
     ip;
     fp;
     db;
     dofs;
-    width = Layout.row_width out_layout;
+    width = Layout.row_width n.out_layout;
   }
 
 (* The object returns the total row count even past [cap]: one retry
@@ -149,17 +89,36 @@ let call_native (art : Backend.artifact) (inp : Validate.input) =
       Dl.raw_call art.Backend.fn inp.Validate.srcs inp.Validate.nrows inp.Validate.ip
         inp.Validate.fp inp.Validate.db inp.Validate.dofs out cap
     in
-    if total < 0 then Engine_intf.execution_failed "jit: native arena out of memory"
+    (* -2: a zero integer divisor, where the interpreted tier's (/) and
+       (mod) raise — the same exception, so the same request fault. *)
+    if total = -2 then raise Division_by_zero
+    else if total < 0 then Engine_intf.execution_failed "jit: native arena out of memory"
     else if total > cap then call total
     else (out, total)
   in
   call 1024
 
-let run_jit (art : Backend.artifact) (prog : Codegen_c.program) stores out_layout snap dict
-    ~params =
-  let inp = pack prog stores out_layout snap dict ~params in
-  let out, total = call_native art inp in
-  decode_rows ~out_scalar:prog.Codegen_c.out_scalar out_layout dict out total
+let decode_rows n dict buf total =
+  let width = Layout.row_width n.out_layout in
+  let fields = Layout.fields n.out_layout in
+  let rows = ref [] in
+  for r = total - 1 downto 0 do
+    let base = r * width in
+    let v =
+      if n.prog.Codegen_c.out_scalar then Rowstore.decode dict buf fields.(0) base
+      else
+        Value.Record
+          (Array.map (fun f -> (f.Layout.name, Rowstore.decode dict buf f base)) fields)
+    in
+    rows := v :: !rows
+  done;
+  !rows
+
+let short_digest d = if String.length d > 12 then String.sub d 0 12 else d
+
+let run_jit art n dict ~params =
+  let out, total = call_native art (pack n dict ~params) in
+  decode_rows n dict out total
 
 (* --- sandboxed validation ---------------------------------------------- *)
 
@@ -207,11 +166,10 @@ let poison_rows = function
    double as this request's answer) or [Error (msg, oracle_rows)] (park
    at Failed; serve the rows interpreted). Never lets the artifact run
    in-process before it has passed. *)
-let validate_artifact (art : Backend.artifact) (prog : Codegen_c.program) stores out_layout
-    snap dict nplan ~params =
+let validate_artifact (art : Backend.artifact) n dict nplan ~params =
   let chaos, diverge = validation_chaos () in
   let oracle = Nplan.execute nplan ~params () in
-  let inp = pack prog stores out_layout snap dict ~params in
+  let inp = pack n dict ~params in
   Counters.incr counters "service/jit/validations";
   Trace.with_span Trace.Jit_validate ("validate " ^ short_digest art.Backend.digest)
     (fun () ->
@@ -228,7 +186,7 @@ let validate_artifact (art : Backend.artifact) (prog : Codegen_c.program) stores
         fail "timeout" (Printf.sprintf "validation: artifact wedged; killed after %.0f ms" ms)
       | Validate.Child_failed msg -> fail "error" ("validation: " ^ msg)
       | Validate.Pass (buf, total) ->
-        let rows = decode_rows ~out_scalar:prog.Codegen_c.out_scalar out_layout dict buf total in
+        let rows = decode_rows n dict buf total in
         let rows = if diverge then poison_rows rows else rows in
         if rows_close oracle rows then begin
           Trace.span_attr "outcome" "passed";
@@ -290,72 +248,67 @@ let engine : Engine_intf.t =
       (fun ?instr cat query ->
         let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
         let start = Profile.now_ms () in
-        let lowered, nplan =
+        let ir, nplan =
           try
-            let lowered = Lq_plan.Lower.lower cat query in
-            (lowered, Nplan.compile_lowered ?trace cat lowered)
+            let ir = Loop.lower cat (Lq_plan.Lower.lower cat query) in
+            (ir, Nplan.compile ?trace ir)
           with
           | Catalog.Not_flat table ->
             Engine_intf.unsupported
               "source %S is not an array of structs (flat schema required, §5)" table
           | Lq_expr.Typecheck.Type_error msg -> Engine_intf.unsupported "%s" msg
         in
-        let prog =
-          match Codegen_c.emit_plan cat lowered with
-          | p -> Some p
+        let native =
+          match Codegen_c.emit_plan ir with
+          | prog ->
+            let store t = Catalog.store (Catalog.table cat t) in
+            Some
+              {
+                ir;
+                prog;
+                stores = Array.of_list (List.map store prog.Codegen_c.scan_tables);
+                out_layout = Layout.make prog.Codegen_c.out_fields;
+                snap = Atomic.make None;
+              }
           | exception Codegen_c.Unsupported_c _ ->
             Counters.incr counters "service/jit/unsupported";
             None
         in
         let slot = Atomic.make Tier.Interpreted in
         let dict = Catalog.dict cat in
-        let jit_ctx =
-          Option.map
-            (fun (p : Codegen_c.program) ->
-              let stores =
-                Array.of_list
-                  (List.map (fun t -> Catalog.store (Catalog.table cat t)) p.scan_tables)
-              in
-              let out_layout = Layout.make p.out_fields in
-              let snap = Atomic.make None in
-              (p, stores, out_layout, snap))
-            prog
-        in
         let source =
-          match prog with
-          | Some p -> p.Codegen_c.c_source
-          | None -> Codegen_c.emit_lowered cat lowered
+          match native with
+          | Some n -> n.prog.Codegen_c.c_source
+          | None -> Codegen_c.emit_lowered ir
         in
-        (match prog with
-        | Some p when Tier.jit_enabled () -> schedule_compile slot p
+        (match native with
+        | Some n when Tier.jit_enabled () -> schedule_compile slot n.prog
         | _ -> ());
         let codegen_ms = Profile.now_ms () -. start in
         {
           Engine_intf.execute =
             (fun ~params () ->
-              let serve_jit art (p, stores, out_layout, snap) =
+              let serve_jit art n =
                 Trace.span_attr "tier" "jit";
                 Counters.incr counters "service/jit/exec_jit";
-                run_jit art p stores out_layout snap dict ~params
+                run_jit art n dict ~params
               in
               let serve_interpreted () =
                 Trace.span_attr "tier" "interpreted";
                 Counters.incr counters "service/jit/exec_interpreted";
                 Nplan.execute nplan ~params ()
               in
-              match (Atomic.get slot, jit_ctx) with
-              | Tier.Jit art, Some ctx -> serve_jit art ctx
-              | (Tier.Pending art as seen), Some ((p, stores, out_layout, snap) as ctx)
+              match (Atomic.get slot, native) with
+              | Tier.Jit art, Some n -> serve_jit art n
+              | (Tier.Pending art as seen), Some n
                 when Atomic.compare_and_set slot seen (Tier.Validating art) -> (
                 (* This execution claimed the sandboxed validation. *)
                 match Tier.mode () with
                 | `Sync -> (
-                  match
-                    validate_artifact art p stores out_layout snap dict nplan ~params
-                  with
+                  match validate_artifact art n dict nplan ~params with
                   | Ok _ ->
                     Atomic.set slot (Tier.Jit art);
-                    serve_jit art ctx
+                    serve_jit art n
                   | Error (msg, oracle) ->
                     (* sticky: a bad artifact stays quarantined *)
                     Atomic.set slot (Tier.Failed msg);
@@ -380,10 +333,7 @@ let engine : Engine_intf.t =
                     in
                     let outcome =
                       Trace.with_trace tr (fun () ->
-                        match
-                          validate_artifact art p stores out_layout snap dict nplan
-                            ~params
-                        with
+                        match validate_artifact art n dict nplan ~params with
                         | Ok _ -> Tier.Jit art
                         | Error (msg, _) -> Tier.Failed msg
                         | exception exn ->

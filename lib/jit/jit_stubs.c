@@ -51,7 +51,7 @@ CAMLprim value lq_jit_dlclose(value vhandle)
   return Val_unit;
 }
 
-/* Must match Codegen_c.abi_version = 1 (see codegen_c.mli). */
+/* Must match Codegen_c.abi_version = 2 (see codegen_c.mli). */
 typedef int64_t (*lq_query_fn)(const unsigned char **srcs, const int64_t *nrows,
                                const int64_t *ip, const double *fp,
                                const unsigned char *db, const int32_t *dofs,

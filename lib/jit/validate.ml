@@ -5,7 +5,7 @@
    and all three must be contained before the artifact is promoted to
    the serving tier. The guard executes the object exactly once in a
    dedicated child process — a tiny C runner that dlopens the artifact,
-   replays the serialized inputs through the ABI-v1 entry point and
+   replays the serialized inputs through the ABI-v2 entry point and
    writes the raw result rows to a file — and the parent diffs those
    rows against the interpreter's answer for the same execution.
 

@@ -107,21 +107,18 @@ let of_records ~layout ~dict records =
   List.iter (append_record t) records;
   t
 
-let decode t ftype vty off =
-  match (ftype : Ftype.t) with
-  | Ftype.Bool8 -> Value.Bool (Fbuf.get_bool t.data off)
-  | Ftype.F64 -> Value.Float (Fbuf.get_f64 t.data off)
-  | Ftype.I64 -> Value.Int (Fbuf.get_i64 t.data off)
-  | Ftype.I32 -> Value.Int (Fbuf.get_i32 t.data off)
-  | Ftype.Date32 -> Value.Date (Fbuf.get_i32 t.data off)
-  | Ftype.Str32 -> (
-    match (vty : Vtype.t) with
-    | Vtype.String -> Value.Str (Dict.get t.dict (Fbuf.get_i32 t.data off))
-    | _ -> Value.Str (Dict.get t.dict (Fbuf.get_i32 t.data off)))
+let decode dict data (f : Layout.field) base =
+  let off = base + f.Layout.offset in
+  match f.Layout.ftype with
+  | Ftype.Bool8 -> Value.Bool (Fbuf.get_bool data off)
+  | Ftype.F64 -> Value.Float (Fbuf.get_f64 data off)
+  | Ftype.I64 -> Value.Int (Fbuf.get_i64 data off)
+  | Ftype.I32 -> Value.Int (Fbuf.get_i32 data off)
+  | Ftype.Date32 -> Value.Date (Fbuf.get_i32 data off)
+  | Ftype.Str32 -> Value.Str (Dict.get dict (Fbuf.get_i32 data off))
 
 let get_value t ~row ~col =
-  let f = Layout.field_at t.layout col in
-  decode t f.Layout.ftype f.Layout.vty ((row * Layout.row_width t.layout) + f.Layout.offset)
+  decode t.dict t.data (Layout.field_at t.layout col) (row * Layout.row_width t.layout)
 
 let row_value t row =
   Value.Record
@@ -169,7 +166,7 @@ let value_reader ?trace t col =
   let width = Layout.row_width t.layout in
   let off = f.Layout.offset in
   let base = t.base_addr + off in
-  let read row = decode t f.Layout.ftype f.Layout.vty ((row * width) + off) in
+  let read row = decode t.dict t.data f (row * width) in
   match trace with
   | None -> read
   | Some tr ->

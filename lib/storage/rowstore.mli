@@ -48,6 +48,11 @@ val set_float : t -> row:int -> col:int -> float -> unit
 val get_value : t -> row:int -> col:int -> Value.t
 (** Decodes through the field's host type (dict strings, dates, bools). *)
 
+val decode : Dict.t -> bytes -> Layout.field -> int -> Value.t
+(** [decode dict data f base] boxes field [f] of the packed row that
+    starts at byte [base] of [data] — any buffer laid out by {!Layout},
+    such as a native result page. *)
+
 val row_value : t -> int -> Value.t
 (** The whole row as a boxed record. *)
 

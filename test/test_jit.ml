@@ -562,6 +562,71 @@ let test_unsupported_serves_interpreted () =
          also acceptable: the engine mirrors compiled-c's surface. *)
       ())
 
+(* --- integer division by zero: the same typed fault on both tiers ------ *)
+
+(* Every literal is rebound to a parameter, so a shape promoted while its
+   divisor was 5 runs its object when a later request sends 0. *)
+let test_div_by_zero_typed () =
+  with_env [ ("LQ_JIT_MODE", "sync"); ("LQ_JIT", "on") ] (fun () ->
+    ignore (fresh_cache_dir ());
+    let cat = oracle_cat () in
+    let prov = Lq_core.Provider.create cat in
+    let fault_kind engine q =
+      match Lq_core.Provider.run prov ~engine q with
+      | _ -> Alcotest.fail "a zero divisor produced rows"
+      | exception Lq_fault.Fault f -> f.Lq_fault.kind
+    in
+    List.iter
+      (fun (name, op) ->
+        let q k = Lq_expr.Dsl.(source "lineitem" |> select "l" (op (v "l" $. "l_linenumber") (int k))) in
+        let served k =
+          let jit0 = count "service/jit/exec_jit" in
+          let rows = Lq_core.Provider.run prov ~engine:jit (q k) in
+          check_bool (name ^ ": rows = reference") true
+            (rows_equal (Lq_core.Provider.reference prov (q k)) rows);
+          check_bool (name ^ ": served from the jit tier") true (count "service/jit/exec_jit" > jit0)
+        in
+        served 5;
+        served 5;
+        let jit0 = count "service/jit/exec_jit" in
+        let kind = fault_kind jit (q 0) in
+        check_bool (name ^ " 0: the jit tier ran it") true (count "service/jit/exec_jit" > jit0);
+        check_bool (name ^ " 0: the interpreted tier's fault kind") true
+          (kind = fault_kind Lq_core.Engines.compiled_c (q 0));
+        (* A request fault does not quarantine the artifact. *)
+        served 5)
+      [ ("/", Lq_expr.Dsl.( /: )); ("%", Lq_expr.Dsl.( %: )) ])
+
+(* --- C coverage of extended TPC-H cannot shrink silently ---------------- *)
+
+let test_c_coverage () =
+  let cat = Lq_tpch.Dbgen.load ~sf:0.001 () in
+  let emits q =
+    match Lq_native.Codegen_c.emit_plan (Lq_native.Loop.lower cat (Lq_plan.Lower.lower cat q)) with
+    | _ -> Ok ()
+    | exception Lq_native.Codegen_c.Unsupported_c msg -> Error msg
+  in
+  List.iter
+    (fun (name, q) ->
+      match emits q with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s has no C form: %s" name msg)
+    (Lq_tpch.Queries.all @ Lq_tpch.Queries.extended
+    @ [ ("Q2corr", Lq_tpch.Queries.q2_correlated) ]);
+  (* The shapes with no C form are still refused, not mistranslated. *)
+  let open Lq_expr.Dsl in
+  List.iter
+    (fun (name, q) -> check_bool (name ^ " has no C form") true (Result.is_error (emits q)))
+    [
+      ("Lower", source "customer" |> where "c" (lower (v "c" $. "c_mktsegment") =: str "building"));
+      ("Upper", source "customer" |> select "c" (upper (v "c" $. "c_name")));
+      ( "nested sub-query",
+        source "lineitem"
+        |> where "l"
+             (v "l" $. "l_quantity" >: avg (subquery (source "lineitem")) "x" (v "x" $. "l_quantity"))
+      );
+    ]
+
 let () =
   Alcotest.run "jit"
     [
@@ -585,6 +650,9 @@ let () =
             (requires_cc test_jit_off);
           Alcotest.test_case "unsupported shape serves interpreted" `Quick
             (requires_cc test_unsupported_serves_interpreted);
+          Alcotest.test_case "zero divisor is a typed fault on both tiers" `Quick
+            (requires_cc test_div_by_zero_typed);
+          Alcotest.test_case "every extended TPC-H query emits C" `Quick test_c_coverage;
         ] );
       ( "validation",
         [
