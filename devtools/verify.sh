@@ -248,6 +248,33 @@ if command -v "${LQ_CC:-cc}" >/dev/null 2>&1; then
   rm -rf "$JIT_CACHE"
   echo "   ok: dlopened object served Q1 with reference-identical rows"
 
+  # Async smoke: `lqcg run` executes its query twice (cold, then warm),
+  # and an async prepare compiles nothing until its plan runs a second
+  # time. The warm run must queue exactly one background compile, and
+  # the rows must match the reference whichever tier served them.
+  echo "== async jit smoke (second execution queues one compile) =="
+  JIT_CACHE="$(mktemp -d /tmp/lqcg_jita.XXXXXX)"
+  if ! async_out=$(LQ_JIT_MODE=async LQ_JIT_CACHE_DIR="$JIT_CACHE" \
+      "$LQCG" run -e compiled-c-jit -q Q1 --sf 0.01 2>&1); then
+    echo "async jit run failed:" >&2
+    echo "$async_out" >&2
+    rm -rf "$JIT_CACHE"
+    exit 1
+  fi
+  rm -rf "$JIT_CACHE"
+  async_rows=$(printf '%s\n' "$async_out" | grep '^{' || true)
+  if [ -z "$async_rows" ] || [ "$async_rows" != "$ref_rows" ]; then
+    echo "async jit rows diverge from the reference interpreter:" >&2
+    echo "$async_out" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$async_out" | grep -Eq '^service/jit/queued +1$'; then
+    echo "async jit run did not queue exactly one compile (want service/jit/queued 1):" >&2
+    echo "$async_out" >&2
+    exit 1
+  fi
+  echo "   ok: the warm run queued one compile, rows reference-identical"
+
   # Guarded-tiering smoke 1: arm the jit/validate chaos point so the
   # sandboxed first execution of the freshly compiled artifact crashes.
   # The service must stay up, answer Q1 with reference-identical rows

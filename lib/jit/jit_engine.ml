@@ -202,10 +202,11 @@ let validate_artifact (art : Backend.artifact) n dict nplan ~params =
 
 let promoted art = if Tier.validate_enabled () then Tier.Pending art else Tier.Jit art
 
-let schedule_compile slot (prog : Codegen_c.program) =
+let schedule_compile mode slot (prog : Codegen_c.program) =
   let digest = Backend.digest_of_program prog in
   let name = "cc " ^ short_digest digest in
-  match Tier.mode () with
+  Counters.incr counters "service/jit/queued";
+  match mode with
   | `Sync ->
     if Backend.cc_available () then
       Trace.with_span Trace.Jit_compile name (fun () ->
@@ -274,6 +275,7 @@ let engine : Engine_intf.t =
             Counters.incr counters "service/jit/unsupported";
             None
         in
+        let mode = Tier.mode () in
         let slot = Atomic.make Tier.Interpreted in
         let dict = Catalog.dict cat in
         let source =
@@ -281,13 +283,29 @@ let engine : Engine_intf.t =
           | Some n -> n.prog.Codegen_c.c_source
           | None -> Codegen_c.emit_lowered ir
         in
-        (match native with
-        | Some n when Tier.jit_enabled () -> schedule_compile slot n.prog
-        | _ -> ());
+        (* Sync compiles here. Async compiles only a shape that recurs:
+           the one execution that moves the count from 1 to 2 — exactly
+           one, however Domains race — queues the cc run. Past that the
+           count is only read. *)
+        let note_execution =
+          match native with
+          | Some n when Tier.jit_enabled () -> (
+            match mode with
+            | `Sync ->
+              schedule_compile mode slot n.prog;
+              ignore
+            | `Async ->
+              let runs = Atomic.make 0 in
+              fun () ->
+                if Atomic.get runs < 2 && Atomic.fetch_and_add runs 1 = 1 then
+                  schedule_compile mode slot n.prog)
+          | _ -> ignore
+        in
         let codegen_ms = Profile.now_ms () -. start in
         {
           Engine_intf.execute =
             (fun ~params () ->
+              note_execution ();
               let serve_jit art n =
                 Trace.span_attr "tier" "jit";
                 Counters.incr counters "service/jit/exec_jit";
@@ -303,7 +321,7 @@ let engine : Engine_intf.t =
               | (Tier.Pending art as seen), Some n
                 when Atomic.compare_and_set slot seen (Tier.Validating art) -> (
                 (* This execution claimed the sandboxed validation. *)
-                match Tier.mode () with
+                match mode with
                 | `Sync -> (
                   match validate_artifact art n dict nplan ~params with
                   | Ok _ ->

@@ -36,7 +36,9 @@ val mode : unit -> [ `Async | `Sync ]
 (** [`Sync] when [LQ_JIT_MODE=sync]: compile inside [prepare] and fail
     it (typed [Codegen_error]) if [cc] fails — the mode differential
     tests and the chaos ladder drive. Default [`Async]: [prepare]
-    returns immediately and the compile runs on the worker Domain. *)
+    compiles nothing; a prepared plan's second execution queues its
+    compile on the worker Domain, so a shape that never recurs never pays
+    [cc]. The engine reads the mode once per prepare. *)
 
 val submit : (unit -> unit) -> unit
 (** Enqueues a job on the single process-wide compile worker Domain

@@ -1,10 +1,11 @@
 (* The native JIT: differential correctness against the reference
    interpreter, artifact-cache behaviour (a repeated prepare never pays a
-   second cc run), tier hot-swap under concurrent executions, the chaos
-   path (injected compiler failure degrades to the interpreted tier /
-   typed Codegen_error through the service ladder with zero failed
-   requests), and the bounded on-disk cache (eviction, startup sweep,
-   dropping cleanup).
+   second cc run), the async recurrence rule (a compile is queued by a
+   plan's second execution, once), tier hot-swap under concurrent
+   executions, the chaos path (injected compiler failure degrades to the
+   interpreted tier / typed Codegen_error through the service ladder
+   with zero failed requests), and the bounded on-disk cache (eviction,
+   startup sweep, dropping cleanup).
 
    Every test that needs a real compiler skips loudly when none is on
    PATH; the suite stays green on compiler-less machines. *)
@@ -44,6 +45,25 @@ let requires_cc f () =
   if not (Backend.cc_available ()) then print_endline "SKIPPED: no C compiler on PATH" else f ()
 
 let rows_equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
+
+(* Polls [ready] every 50 ms; fails the test if it does not hold within
+   30 s. For what the background compile worker does. *)
+let wait_until what ready =
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec go () =
+    if not (ready ()) then
+      if Unix.gettimeofday () > deadline then Alcotest.failf "%s never happened" what
+      else begin
+        Unix.sleepf 0.05;
+        go ()
+      end
+  in
+  go ()
+
+(* Artifacts obtained for a digest, whether built or found in a cache. *)
+let artifacts () =
+  count "service/jit/compiles" + count "service/jit/cache_hit_mem"
+  + count "service/jit/cache_hit_disk"
 
 (* --- differential: every TPC-H query, sync-compiled, vs reference ----- *)
 
@@ -117,6 +137,34 @@ let test_cache_hits () =
     check_bool "integrity manifest written at cache-insert" true
       (Array.exists (fun f -> Filename.check_suffix f ".so.manifest") (Sys.readdir dir)))
 
+(* --- tiering: async compiles wait for the shape to recur ---------------- *)
+
+let test_compile_on_recurrence () =
+  with_env [ ("LQ_JIT_MODE", "async"); ("LQ_JIT", "on") ] (fun () ->
+    ignore (fresh_cache_dir ());
+    let cat = oracle_cat () in
+    let prov = Lq_core.Provider.create cat in
+    let params = Lq_tpch.Queries.default_params in
+    let q = Lq_tpch.Queries.q1 in
+    let expected = Lq_core.Provider.reference prov ~params q in
+    let queued () = count "service/jit/queued" in
+    let queued0 = queued () in
+    let prepared = jit.Engine_intf.prepare cat q in
+    let run () =
+      check_bool "rows = reference" true
+        (rows_equal expected (prepared.Engine_intf.execute ~params ()))
+    in
+    check_int "prepare queues no compile" queued0 (queued ());
+    run ();
+    check_int "a first execution queues no compile" queued0 (queued ());
+    run ();
+    check_int "the second execution queues one compile" (queued0 + 1) (queued ());
+    let jit0 = count "service/jit/exec_jit" in
+    wait_until "promotion to the jit tier" (fun () ->
+      run ();
+      count "service/jit/exec_jit" > jit0);
+    check_int "later executions queue nothing more" (queued0 + 1) (queued ()))
+
 (* --- tiering: async hot-swap under a 4-Domain execution storm ---------- *)
 
 let test_hot_swap_storm () =
@@ -127,6 +175,8 @@ let test_hot_swap_storm () =
     let params = Lq_tpch.Queries.default_params in
     let q = Lq_tpch.Queries.q1 in
     let expected = Lq_core.Provider.reference prov ~params q in
+    let queued0 = count "service/jit/queued" in
+    let artifacts0 = artifacts () in
     let prepared = jit.Engine_intf.prepare cat q in
     let bad = Atomic.make 0 in
     let execs_per_domain = 60 in
@@ -139,22 +189,16 @@ let test_hot_swap_storm () =
     let domains = List.init 4 (fun _ -> Domain.spawn worker) in
     List.iter Domain.join domains;
     check_int "no torn or divergent executions during the swap" 0 (Atomic.get bad);
+    check_int "racing executions queue exactly one compile" (queued0 + 1)
+      (count "service/jit/queued");
     (* The background compile must land eventually; poll briefly, then
        confirm the jit tier actually serves. *)
-    let deadline = Unix.gettimeofday () +. 30. in
     let jit0 = count "service/jit/exec_jit" in
-    let rec wait_for_tier () =
+    wait_until "the compile landing (tier stuck interpreted)" (fun () ->
       let rows = prepared.Engine_intf.execute ~params () in
       check_bool "post-swap rows agree" true (rows_equal expected rows);
-      if count "service/jit/exec_jit" > jit0 then ()
-      else if Unix.gettimeofday () > deadline then
-        Alcotest.fail "compile never landed (tier stuck interpreted)"
-      else begin
-        Unix.sleepf 0.05;
-        wait_for_tier ()
-      end
-    in
-    wait_for_tier ())
+      count "service/jit/exec_jit" > jit0);
+    check_int "one artifact for the storm" (artifacts0 + 1) (artifacts ()))
 
 (* --- chaos: injected compiler failure --------------------------------- *)
 
@@ -227,10 +271,17 @@ let test_chaos_async_degrades_interpreted () =
       let params = Lq_tpch.Queries.default_params in
       let q = Lq_tpch.Queries.q1 in
       let expected = Lq_core.Provider.reference prov ~params q in
+      let fails0 = count "service/jit/compile_failures" in
       let prepared = jit.Engine_intf.prepare cat q in
-      (* Give the background compile time to hit the injected fault, then
-         confirm every execution still answers — interpreted. *)
-      Unix.sleepf 0.2;
+      (* The second execution queues the compile. Wait for it to hit the
+         injected fault, then confirm every execution still answers —
+         interpreted. *)
+      for _ = 1 to 2 do
+        let rows = prepared.Engine_intf.execute ~params () in
+        check_bool "pre-compile execution agrees with reference" true (rows_equal expected rows)
+      done;
+      wait_until "the injected compile fault" (fun () ->
+        count "service/jit/compile_failures" > fails0);
       let jit0 = count "service/jit/exec_jit" in
       for _ = 1 to 5 do
         let rows = prepared.Engine_intf.execute ~params () in
@@ -644,6 +695,8 @@ let () =
         ] );
       ( "tiering",
         [
+          Alcotest.test_case "async compile waits for a second execution" `Quick
+            (requires_cc test_compile_on_recurrence);
           Alcotest.test_case "hot swap under 4-domain storm" `Slow
             (requires_cc test_hot_swap_storm);
           Alcotest.test_case "LQ_JIT=off serves interpreted" `Quick
