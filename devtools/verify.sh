@@ -175,6 +175,32 @@ for q in Q1 Q6; do
 done
 echo "   ok: tiny-morsel runs deterministic, scheduler counters live"
 
+# Allocation smoke: the closure tier keeps floats in a per-plan register
+# file and its hash probes return immediates, so a warm compiled-c Q6 at
+# sf 0.01 (60k lineitem rows) allocates a few hundred words of request
+# set-up, whatever the table size. One boxed float per row would cost
+# 120k words; the budget below is far under that.
+echo "== compiled-c allocation smoke (warm Q6 at sf 0.01) =="
+ALLOC_BUDGET=16384
+if ! out=$("$LQCG" run -e compiled-c -q Q6 --sf 0.01 2>&1); then
+  echo "compiled-c Q6 run failed:" >&2
+  echo "$out" >&2
+  exit 1
+fi
+words=$(printf '%s\n' "$out" | sed -n 's/^alloc: \([0-9]*\) minor + \([0-9]*\) direct-major.*/\1 \2/p' \
+  | awk '{ print $1 + $2 }')
+if [ -z "$words" ]; then
+  echo "lqcg run printed no alloc line:" >&2
+  echo "$out" >&2
+  exit 1
+fi
+if [ "$words" -gt "$ALLOC_BUDGET" ]; then
+  echo "warm compiled-c Q6 allocated $words words per execution (budget $ALLOC_BUDGET):" >&2
+  echo "$out" >&2
+  exit 1
+fi
+echo "   ok: $words words per warm execution (budget $ALLOC_BUDGET)"
+
 # Trace smoke: one traced query per engine, exported as Chrome JSON and
 # re-validated by the standalone well-formedness checker — the span tree
 # must hold for every engine's execute path, not just the ones the unit

@@ -7,6 +7,7 @@ module Loop = Lq_native.Loop
 module Nplan = Lq_native.Nplan
 module Split = Lq_plan.Staging
 module Layout = Lq_storage.Layout
+module Mapping = Lq_storage.Mapping
 module Rowstore = Lq_storage.Rowstore
 module Profile = Lq_metrics.Profile
 module Trace = Lq_trace.Trace
@@ -15,12 +16,10 @@ let unsupported = Engine_intf.unsupported
 
 type construction = Min | Max
 
-let index_field = "__idx"
+let index_field = Mapping.index_field
 let page_bytes = 64 * 1024
 let last_staged_bytes = ref 0
 let staged_bytes () = !last_staged_bytes
-
-let rename_path path = String.concat "_" path
 
 (* One staged input: the managed→native bridge for one source occurrence. *)
 type staged = {
@@ -30,20 +29,13 @@ type staged = {
   page_rows : int;  (** capacity per flush in buffered mode *)
   preds : (Cexpr.rt -> bool) list;
   elem_slot : int;  (** frame slot the source element is bound to *)
-  writers : (int -> Value.t -> unit) list;  (** staged-field writers *)
-  write_index : (int -> int -> unit) option;
+  mapping : Mapping.t;  (** the staged layout (§6.2) *)
+  write : bytes -> int -> index:int -> Value.t -> unit;  (** its compiled row writer *)
   driver_cell : ((int -> unit) -> unit) ref;  (** set per execution *)
 }
 
-let resolve_path_ty source_ty path =
-  let rec go ty = function
-    | [] -> ty
-    | name :: rest -> (
-      match Vtype.field ty name with
-      | Some fty -> go fty rest
-      | None -> unsupported "staged path .%s not found" name)
-  in
-  go source_ty path
+(* The managed filters of one element, in order (no closure per element). *)
+let rec all_pass rt = function [] -> true | p :: rest -> p rt && all_pass rt rest
 
 let native_phase_label (q : Ast.query) =
   (* Label by the dominant offloaded operation: aggregation beats joins
@@ -282,17 +274,11 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
     let make_staged spec =
       let table = Catalog.table cat spec.Split.source in
       let source_ty = Schema.to_vtype (Catalog.schema table) in
-      let paths = staged_paths_of spec in
-      let fields =
-        List.map (fun p -> (rename_path p, resolve_path_ty source_ty p)) paths
-      in
-      let fields =
-        if with_index then fields @ [ (index_field, Vtype.Int) ] else fields
-      in
-      let layout =
-        try Layout.make fields
+      let mapping =
+        try Mapping.build ~source:source_ty ~paths:(staged_paths_of spec) ~with_index
         with Invalid_argument msg -> unsupported "staged layout: %s" msg
       in
+      let layout = Mapping.layout mapping in
       let store = Rowstore.create ~layout ~dict:(Catalog.dict cat) () in
       let elem_slot = Cexpr.alloc_slot cctx in
       let preds =
@@ -309,30 +295,6 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
             | _ -> unsupported "filter arity")
           spec.Split.preds
       in
-      let writers =
-        List.mapi
-          (fun col path ->
-            let extract v = List.fold_left Value.field v path in
-            fun row v ->
-              match extract v with
-              | Value.Int i -> Rowstore.set_int store ~row ~col i
-              | Value.Date d -> Rowstore.set_int store ~row ~col d
-              | Value.Bool b -> Rowstore.set_int store ~row ~col (if b then 1 else 0)
-              | Value.Str s ->
-                Rowstore.set_int store ~row ~col
-                  (Lq_storage.Dict.intern (Catalog.dict cat) s)
-              | Value.Float f -> Rowstore.set_float store ~row ~col f
-              | other ->
-                unsupported "cannot stage %s" (Value.to_string other))
-          paths
-      in
-      let write_index =
-        if with_index then begin
-          let col = Layout.field_index_exn layout index_field in
-          Some (fun row idx -> Rowstore.set_int store ~row ~col idx)
-        end
-        else None
-      in
       {
         spec;
         table;
@@ -340,8 +302,8 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
         page_rows = max 1 (page_bytes / max 1 (Layout.row_width layout));
         preds;
         elem_slot;
-        writers;
-        write_index;
+        mapping;
+        write = Mapping.writer mapping ~dict:(Catalog.dict cat);
         driver_cell = ref (fun _ -> ());
       }
     in
@@ -359,7 +321,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
     in
     let rewritten =
       List.fold_left
-        (fun q st -> Split.rewrite_paths q ~occ:st.spec.Split.occ ~rename:rename_path)
+        (fun q st -> Split.rewrite_paths q ~occ:st.spec.Split.occ ~rename:Mapping.name_of_path)
         offloaded staged
     in
     let rewritten, finish =
@@ -421,7 +383,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
             | Some _ -> Some (Catalog.heap_addrs st.table)
             | None -> None
           in
-          let nfields_hint = List.length st.writers in
+          let nfields_hint = List.length (Mapping.entries st.mapping) in
           let staged_row_width = Layout.row_width (Rowstore.layout st.store) in
           let stage_row i v =
             (* Every staged row draws on the per-request budget: the
@@ -430,8 +392,8 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
             Lq_fault.Governor.charge_rows ~stage:"staging" 1;
             Lq_fault.Governor.charge_bytes ~stage:"staging" staged_row_width;
             let row = Rowstore.alloc_row st.store in
-            List.iter (fun w -> w row v) st.writers;
-            (match st.write_index with Some w -> w row i | None -> ());
+            (try st.write (Rowstore.data st.store) (row * staged_row_width) ~index:i v
+             with Invalid_argument msg -> unsupported "%s" msg);
             (match (instr, addrs) with
             | Some instr, Some addrs ->
               (* Model: read the object's header + staged fields, write the
@@ -445,7 +407,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
           in
           let passes rt v =
             rt.Cexpr.frame.(st.elem_slot) <- v;
-            List.for_all (fun p -> p rt) st.preds
+            all_pass rt st.preds
           in
           let drive emit =
             Lq_fault.Inject.hit "hybrid/staging";
@@ -596,7 +558,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
                          copied (implicit projection)%s */\n%s"
                         st.spec.Split.occ
                         (List.length st.preds)
-                        (List.length st.writers)
+                        (List.length (Mapping.entries st.mapping))
                         (if with_index then " + index column" else "")
                         (Layout.c_struct
                            ~name:(st.spec.Split.source ^ "_staged_t")

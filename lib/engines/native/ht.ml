@@ -42,9 +42,8 @@ let hash_key t (key : int array) =
   done;
   !h land max_int
 
-let key_matches t slot (key : int array) =
-  let rec go p = p = t.nparts || (t.parts.(p).(slot) = key.(p) && go (p + 1)) in
-  go 0
+let rec key_matches t slot (key : int array) p =
+  p = t.nparts || (t.parts.(p).(slot) = key.(p) && key_matches t slot key (p + 1))
 
 (* Each bucket probe models one random read into the table's memory. *)
 let note_probe t bucket =
@@ -52,18 +51,17 @@ let note_probe t bucket =
   | None -> ()
   | Some trace -> trace (t.base_addr + (bucket * 16))
 
+(* The key's slot, or [-1 - b] for the empty bucket [b] it would take:
+   one immediate, so a probe allocates nothing. *)
 let rec probe t key h =
   let b = h land t.mask in
   note_probe t b;
   let v = t.buckets.(b) in
-  if v = 0 then (b, -1)
-  else if key_matches t (v - 1) key then (b, v - 1)
+  if v = 0 then -1 - b
+  else if key_matches t (v - 1) key 0 then v - 1
   else probe t key (h + 1)
 
-let find t key =
-  match probe t key (hash_key t key) with
-  | _, -1 -> None
-  | _, slot -> Some slot
+let find t key = max (-1) (probe t key (hash_key t key))
 
 let grow_dense t =
   let cap = Array.length t.heads * 2 in
@@ -92,9 +90,10 @@ let grow_buckets t =
   done
 
 let lookup_or_insert t key =
-  let b, slot = probe t key (hash_key t key) in
-  if slot >= 0 then slot
+  let found = probe t key (hash_key t key) in
+  if found >= 0 then found
   else begin
+    let b = -1 - found in
     if t.nkeys = Array.length t.heads then grow_dense t;
     let slot = t.nkeys in
     for p = 0 to t.nparts - 1 do
@@ -125,28 +124,20 @@ let attach t ~slot row =
   t.heads.(slot) <- cell;
   t.nchain <- cell + 1
 
-let iter_attached t ~slot f =
-  let rec go cell =
-    if cell >= 0 then begin
-      go t.chain_next.(cell);
-      (match t.trace with
-      | None -> ()
-      | Some trace -> trace (t.base_addr + (1 lsl 20) + (cell * 8)));
-      f t.chain_rows.(cell)
-    end
-  in
-  go t.heads.(slot)
+(* Chains are newest-first; recurse to visit in insertion order. *)
+let rec iter_chain t f cell =
+  if cell >= 0 then begin
+    iter_chain t f t.chain_next.(cell);
+    (match t.trace with
+    | None -> ()
+    | Some trace -> trace (t.base_addr + (1 lsl 20) + (cell * 8)));
+    f t.chain_rows.(cell)
+  end
 
-let attached_count t ~slot =
-  let n = ref 0 in
-  let rec go cell =
-    if cell >= 0 then begin
-      incr n;
-      go t.chain_next.(cell)
-    end
-  in
-  go t.heads.(slot);
-  !n
+let iter_attached t ~slot f = iter_chain t f t.heads.(slot)
+
+let rec chain_length t cell n = if cell < 0 then n else chain_length t t.chain_next.(cell) (n + 1)
+let attached_count t ~slot = chain_length t t.heads.(slot) 0
 
 let memory_bytes t =
   (Array.length t.buckets * 8)

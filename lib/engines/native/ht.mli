@@ -20,7 +20,10 @@ val lookup_or_insert : t -> int array -> int
     inserts on first sight. The key array is copied, callers may reuse
     their scratch buffer. *)
 
-val find : t -> int array -> int option
+val find : t -> int array -> int
+(** Dense slot of the key, or [-1] when it is absent. Like every probe,
+    allocates nothing. *)
+
 val count : t -> int
 (** Number of distinct keys. *)
 

@@ -15,20 +15,40 @@ exception Enough
    readers dereference it. *)
 type cursor = { store : Rowstore.t; cell : int ref }
 
+(* The per-plan float register file: float parameter registers, then
+   sub-query cells, then literals and one destination slot per computed
+   float node. Compilation numbers the slots and sizes the array last, so
+   the closures reach it through this record. *)
+type file = { mutable fr : float array }
+
+(* An F64 field of a cursor's current row, read in place: the store's
+   buffer is re-read per access because spill stores grow. *)
+type field = { fstore : Rowstore.t; fcell : int ref; width : int; off : int }
+
+(* Where a float value is read: a register-file slot, or a row field. *)
+type fsrc = Slot of int | Field of field
+
+(* A compiled float node. [pre], when present, stores the node's value for
+   the current row into its slot; consumers run it, then read [src].
+   Leaves (registers, cells, literals, untraced column reads) have none,
+   so they are read where they are. No float crosses a closure boundary:
+   a closure returning [float] would box it on every row. *)
+type fnode = { pre : (unit -> unit) option; src : fsrc }
+
 (* A compiled scalar: a monomorphic closure plus, for integer images, the
    host type it decodes to. *)
 type v =
   | I of (unit -> int) * Vtype.t
-  | F of (unit -> float)
+  | F of fnode
   | B of (unit -> bool)
 
 type t = {
   ir : L.t;
   dict : Dict.t;
   ints : int array;  (** integer registers *)
-  floats : float array;  (** float registers *)
-  cell_ints : int array;  (** per-execution sub-query cells *)
-  cell_floats : float array;
+  file : file;
+  cell_ints : int array;  (** per-execution integer sub-query cells *)
+  cell_base : int;  (** register-file slot of float cell 0 *)
   run : (unit -> unit) -> unit;
   emit : unit -> Value.t;  (** boxes the current root element *)
   mu : Mutex.t;
@@ -36,47 +56,75 @@ type t = {
           the closures, so one execution at a time *)
 }
 
+let[@inline] fread file = function
+  | Slot k -> Array.unsafe_get file.fr k
+  | Field f ->
+    Int64.float_of_bits
+      (Bytes.get_int64_le (Rowstore.data f.fstore) ((!(f.fcell) * f.width) + f.off))
+
+(* [body] after [pre]. *)
+let after pre body =
+  match pre with
+  | None -> body
+  | Some p ->
+    fun () ->
+      p ();
+      body ()
+
+(* [f] after [pre], for a consumer with one argument. *)
+let after1 pre f =
+  match pre with
+  | None -> f
+  | Some p ->
+    fun x ->
+      p ();
+      f x
+
+(* Both preparations, [first] first. *)
+let both first second =
+  match (first, second) with
+  | None, p | p, None -> p
+  | Some f, Some g ->
+    Some
+      (fun () ->
+        f ();
+        g ())
+
 let as_int = function
   | I (f, _) -> f
   | B f -> fun () -> if f () then 1 else 0
   | F _ -> invalid_arg "Nplan: float in an integer position"
 
 let as_float = function
-  | F f -> f
+  | F n -> n
   | I _ | B _ -> invalid_arg "Nplan: integer in a float position"
 
 let as_bool = function
   | B f -> f
   | I _ | F _ -> invalid_arg "Nplan: value in a condition position"
 
+let[@inline] float_of_key_parts ~hi ~lo =
+  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
 (* Hash-key images. A float's 64 bits do not fit one 63-bit OCaml int
    (truncation folds the sign bit away, conflating x and -x), so float
    keys contribute two parts. *)
-let key_parts = function
+let key_parts file = function
   | I (f, _) -> [ f ]
   | B f -> [ (fun () -> if f () then 1 else 0) ]
-  | F f ->
+  | F { pre; src } ->
     [
-      (fun () -> Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (f ())) 32));
-      (fun () -> Int64.to_int (Int64.logand (Int64.bits_of_float (f ())) 0xFFFFFFFFL));
+      after pre (fun () ->
+          Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (fread file src)) 32));
+      after pre (fun () ->
+          Int64.to_int (Int64.logand (Int64.bits_of_float (fread file src)) 0xFFFFFFFFL));
     ]
-
-let float_of_key_parts ~hi ~lo =
-  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
 
 (* A single integer image, for sort keys and index probes (integer-family
    values only; floats order through their own comparator). *)
-let key_part = function
-  | F f -> fun () -> Int64.to_int (Int64.bits_of_float (f ()))
+let key_part file = function
+  | F { pre; src } -> after pre (fun () -> Int64.to_int (Int64.bits_of_float (fread file src)))
   | v -> as_int v
-
-let arith_op (op : L.arith) =
-  match op with
-  | L.Add -> (( + ), ( +. ))
-  | L.Sub -> (( - ), ( -. ))
-  | L.Mul -> (( * ), ( *. ))
-  | L.Div -> (( / ), ( /. ))
-  | L.Mod -> ((fun a b -> a mod b), fun a b -> Float.rem a b)
 
 let cmp_test (op : L.cmp) =
   match op with
@@ -113,9 +161,22 @@ let compile ?trace ?drive (ir : L.t) : t =
     | L.Named _ -> ()
   in
   let ints = Array.make (Array.length ir.L.int_regs) 0 in
-  let floats = Array.make (Array.length ir.L.float_regs) 0.0 in
   let cell_ints = Array.make (Array.length ir.L.cells) 0 in
-  let cell_floats = Array.make (Array.length ir.L.cells) 0.0 in
+  let cell_base = Array.length ir.L.float_regs in
+  let file = { fr = [||] } in
+  let nslots = ref (cell_base + Array.length ir.L.cells) in
+  let literals = ref [] in
+  let new_slot () =
+    let d = !nslots in
+    incr nslots;
+    d
+  in
+  (* A computed float: [body d] stores the node's value into slot [d]. *)
+  let computed body =
+    let d = new_slot () in
+    F { pre = Some (body d); src = Slot d }
+  in
+  let[@inline] set d x = Array.unsafe_set file.fr d x in
   let cursors = Hashtbl.create 8 in
   let groups = Hashtbl.create 4 in
   let new_cursor rel store =
@@ -126,10 +187,15 @@ let compile ?trace ?drive (ir : L.t) : t =
   let reader cursor col =
     let f = Layout.field_at (Rowstore.layout cursor.store) col in
     let cell = cursor.cell in
-    match f.Layout.ftype with
-    | Ftype.F64 ->
+    match (f.Layout.ftype, trace) with
+    | Ftype.F64, None ->
+      let width = Layout.row_width (Rowstore.layout cursor.store) in
+      let field = { fstore = cursor.store; fcell = cell; width; off = f.Layout.offset } in
+      F { pre = None; src = Field field }
+    | Ftype.F64, Some _ ->
+      (* Traced reads keep the store's reader: same addresses, same order. *)
       let r = Rowstore.float_reader ?trace cursor.store col in
-      F (fun () -> r !cell)
+      computed (fun d () -> set d (r !cell))
     | _ ->
       let r = Rowstore.int_reader ?trace cursor.store col in
       I ((fun () -> r !cell), f.Layout.vty)
@@ -143,34 +209,39 @@ let compile ?trace ?drive (ir : L.t) : t =
     let f = as_int v in
     fun () -> Dict.get dict (f ())
   in
+  (* Stores a float node's value into slot [d] (an [If] branch). *)
+  let store_into d { pre; src } = after pre (fun () -> set d (fread file src)) in
   let rec expr (e : L.expr) : v =
     match e.L.node with
     | L.Int_lit i -> I ((fun () -> i), ity e)
     | L.Bool_lit b -> B (fun () -> b)
-    | L.Float_lit f -> F (fun () -> f)
+    | L.Float_lit f ->
+      let d = new_slot () in
+      literals := (d, f) :: !literals;
+      F { pre = None; src = Slot d }
     | L.Reg k -> (
       match e.L.ty with
-      | L.F -> F (fun () -> floats.(k))
+      | L.F -> F { pre = None; src = Slot k }
       | L.I ty ->
         intern_literal k;
         I ((fun () -> ints.(k)), ty)
       | L.B -> B (fun () -> ints.(k) <> 0))
     | L.Cell k -> (
       match e.L.ty with
-      | L.F -> F (fun () -> cell_floats.(k))
+      | L.F -> F { pre = None; src = Slot (cell_base + k) }
       | _ -> I ((fun () -> cell_ints.(k)), ity e))
     | L.Col (rel, col) -> reader (Hashtbl.find cursors rel) col
     | L.Key (g, i) -> (fst (Hashtbl.find groups g)).(i)
     | L.Acc (g, i) -> (snd (Hashtbl.find groups g)).(i)
     | L.To_float a ->
       let f = as_int (expr a) in
-      F (fun () -> float_of_int (f ()))
+      computed (fun d () -> set d (float_of_int (f ())))
     | L.To_bool a ->
       let f = as_int (expr a) in
       B (fun () -> f () <> 0)
     | L.Neg a -> (
       match expr a with
-      | F f -> F (fun () -> -.f ())
+      | F { pre; src } -> computed (fun d -> after pre (fun () -> set d (-.fread file src)))
       | v ->
         let f = as_int v in
         I ((fun () -> -f ()), Vtype.Int))
@@ -186,14 +257,34 @@ let compile ?trace ?drive (ir : L.t) : t =
       let fb = as_bool (expr b) in
       B (fun () -> fa () || fb ())
     | L.Arith (op, a, b) -> (
-      let int_op, float_op = arith_op op in
       match e.L.ty with
       | L.F ->
         let fa = as_float (expr a) and fb = as_float (expr b) in
-        F (fun () -> float_op (fa ()) (fb ()))
-      | _ ->
+        let sa = fa.src and sb = fb.src in
+        (* One closure per operator and node, operands read in place: a
+           field or a register on either side needs no copy. The right
+           operand is prepared first, so traced column reads keep the
+           order the cache-model traces are recorded in. *)
+        let pre = both fb.pre fa.pre in
+        computed (fun d ->
+            after pre
+              (match op with
+              | L.Add -> fun () -> set d (fread file sa +. fread file sb)
+              | L.Sub -> fun () -> set d (fread file sa -. fread file sb)
+              | L.Mul -> fun () -> set d (fread file sa *. fread file sb)
+              | L.Div -> fun () -> set d (fread file sa /. fread file sb)
+              | L.Mod -> fun () -> set d (Float.rem (fread file sa) (fread file sb))))
+      | _ -> (
         let fa = as_int (expr a) and fb = as_int (expr b) in
-        I ((fun () -> int_op (fa ()) (fb ())), Vtype.Int))
+        let op : int -> int -> int =
+          match op with
+          | L.Add -> ( + )
+          | L.Sub -> ( - )
+          | L.Mul -> ( * )
+          | L.Div -> ( / )
+          | L.Mod -> ( mod )
+        in
+        I ((fun () -> op (fa ()) (fb ())), Vtype.Int)))
     | L.Cmp (op, order, a, b) -> (
       let test = cmp_test op in
       match order with
@@ -208,7 +299,18 @@ let compile ?trace ?drive (ir : L.t) : t =
         B (fun () -> test (Int.compare (fa ()) (fb ())))
       | L.By_float ->
         let fa = as_float (expr a) and fb = as_float (expr b) in
-        B (fun () -> test (Float.compare (fa ()) (fb ())))
+        let sa = fa.src and sb = fb.src in
+        (* [Float.compare]'s total order (NaN equal to itself, below every
+           number), specialized per operator. *)
+        B
+          (after (both fb.pre fa.pre)
+             (match op with
+             | L.Eq -> fun () -> Float.compare (fread file sa) (fread file sb) = 0
+             | L.Ne -> fun () -> Float.compare (fread file sa) (fread file sb) <> 0
+             | L.Lt -> fun () -> Float.compare (fread file sa) (fread file sb) < 0
+             | L.Le -> fun () -> Float.compare (fread file sa) (fread file sb) <= 0
+             | L.Gt -> fun () -> Float.compare (fread file sa) (fread file sb) > 0
+             | L.Ge -> fun () -> Float.compare (fread file sa) (fread file sb) >= 0))
       | L.By_bool ->
         let fa = as_bool (expr a) and fb = as_bool (expr b) in
         B (fun () -> test (Bool.compare (fa ()) (fb ()))))
@@ -217,7 +319,9 @@ let compile ?trace ?drive (ir : L.t) : t =
       match e.L.ty with
       | L.F ->
         let f1 = as_float (expr t) and f2 = as_float (expr f) in
-        F (fun () -> if fc () then f1 () else f2 ())
+        computed (fun d ->
+            let s1 = store_into d f1 and s2 = store_into d f2 in
+            fun () -> if fc () then s1 () else s2 ())
       | L.B ->
         let f1 = as_bool (expr t) and f2 = as_bool (expr f) in
         B (fun () -> if fc () then f1 () else f2 ())
@@ -229,15 +333,19 @@ let compile ?trace ?drive (ir : L.t) : t =
       B (fun () -> Lq_expr.Scalar.like_match ~pattern (fs ()))
     | L.Like_param { subject; pattern; lead; trail } ->
       let fs = string_of (expr subject) in
-      let fp = string_of (expr pattern) in
-      let affix s =
-        match (lead, trail) with
-        | false, false -> s
-        | false, true -> s ^ "%"
-        | true, false -> "%" ^ s
-        | true, true -> "%" ^ s ^ "%"
-      in
-      B (fun () -> Lq_expr.Scalar.like_match ~pattern:(affix (fp ())) (fs ()))
+      let code = as_int (expr pattern) in
+      (* The pattern is fixed per execution: affix it when its code
+         changes, not on every row. *)
+      let last = ref (-1) and affixed = ref "" in
+      B
+        (fun () ->
+          let s = fs () in
+          let c = code () in
+          if c <> !last then begin
+            affixed := (if lead then "%" else "") ^ Dict.get dict c ^ if trail then "%" else "";
+            last := c
+          end;
+          Lq_expr.Scalar.like_match ~pattern:!affixed s)
     | L.Case (case, a) ->
       let fs = string_of (expr a) in
       let convert =
@@ -249,7 +357,8 @@ let compile ?trace ?drive (ir : L.t) : t =
       I ((fun () -> String.length (fs ())), Vtype.Int)
     | L.Abs a -> (
       match expr a with
-      | F f -> F (fun () -> Float.abs (f ()))
+      | F { pre; src } ->
+        computed (fun d -> after pre (fun () -> set d (Float.abs (fread file src))))
       | v ->
         let f = as_int v in
         I ((fun () -> abs (f ())), Vtype.Int))
@@ -266,10 +375,12 @@ let compile ?trace ?drive (ir : L.t) : t =
     | I (f, Vtype.Bool) -> fun () -> Value.Bool (f () <> 0)
     | I (f, Vtype.String) -> fun () -> Value.Str (Dict.get dict (f ()))
     | I (f, _) -> fun () -> Value.Int (f ())
-    | F f -> fun () -> Value.Float (f ())
+    | F { pre; src } -> after pre (fun () -> Value.Float (fread file src))
     | B f -> fun () -> Value.Bool (f ())
   in
-  let key_closures keys = Array.of_list (List.concat_map (fun e -> key_parts (expr e)) keys) in
+  let key_closures keys =
+    Array.of_list (List.concat_map (fun e -> key_parts file (expr e)) keys)
+  in
   (* Materialize the spilled columns into a fresh flat intermediate store,
      one monomorphic writer per column with offsets resolved once;
      [alloc_row] has grown the buffer before any write runs. *)
@@ -283,7 +394,10 @@ let compile ?trace ?drive (ir : L.t) : t =
           let f = Layout.field_at layout col in
           let off = f.Layout.offset in
           match (expr e, f.Layout.ftype) with
-          | F g, _ -> fun row -> Fbuf.set_f64 (Rowstore.data store) ((row * width) + off) (g ())
+          | F { pre; src }, _ ->
+            after1 pre (fun row ->
+                Bytes.set_int64_le (Rowstore.data store) ((row * width) + off)
+                  (Int64.bits_of_float (fread file src)))
           | v, Ftype.I64 ->
             let g = as_int v in
             fun row -> Fbuf.set_i64 (Rowstore.data store) ((row * width) + off) (g ())
@@ -338,7 +452,7 @@ let compile ?trace ?drive (ir : L.t) : t =
         done
     | L.Filter { input = L.Scan { rel; store; _ }; preds; probe = Some { index; conjunct; key } } ->
       (* The index yields ascending row numbers: scan order is kept. *)
-      let key_image = key_part (expr key) in
+      let key_image = key_part file (expr key) in
       let cell = (new_cursor rel store).cell in
       let run sink =
         Lq_exec.Int_table.Multi.iter_matches index (key_image ()) (fun row ->
@@ -369,16 +483,16 @@ let compile ?trace ?drive (ir : L.t) : t =
                let slot = Ht.lookup_or_insert tbl scratch in
                Ht.attach tbl ~slot (rwrite ()))
          with Enough -> ());
+        let matched row =
+          rcell := row;
+          sink ()
+        in
         lrun (fun () ->
             for p = 0 to nparts - 1 do
               scratch.(p) <- lkey_closures.(p) ()
             done;
-            match Ht.find tbl scratch with
-            | None -> ()
-            | Some slot ->
-              Ht.iter_attached tbl ~slot (fun row ->
-                  rcell := row;
-                  sink ()))
+            let slot = Ht.find tbl scratch in
+            if slot >= 0 then Ht.iter_attached tbl ~slot matched)
     | L.Group { id; input; key; accs } -> group id input key accs
     | L.Sort { input; spill = sp; keys; limit } -> sort input sp keys limit
     | L.Limit (input, n) ->
@@ -424,9 +538,9 @@ let compile ?trace ?drive (ir : L.t) : t =
     (* Each key field occupies one or two flattened hash-key parts (floats
        need two); remember the offsets for the output phase. *)
     let _, offsets =
-      List.fold_left_map (fun off v -> (off + List.length (key_parts v), off)) 0 key_vs
+      List.fold_left_map (fun off v -> (off + List.length (key_parts file v), off)) 0 key_vs
     in
-    let key_closures = Array.of_list (List.concat_map key_parts key_vs) in
+    let key_closures = Array.of_list (List.concat_map (key_parts file) key_vs) in
     let nparts = Array.length key_closures in
     let tbl = Ht.create ?trace ~nparts ~hint:256 () in
     let cur_slot = ref 0 in
@@ -437,25 +551,35 @@ let compile ?trace ?drive (ir : L.t) : t =
     let key_reader part (v : v) =
       match v with
       | F _ ->
-        F
-          (fun () ->
-            float_of_key_parts
-              ~hi:(Ht.key_part tbl ~slot:!cur_slot ~part)
-              ~lo:(Ht.key_part tbl ~slot:!cur_slot ~part:(part + 1)))
+        computed (fun d () ->
+            set d
+              (float_of_key_parts
+                 ~hi:(Ht.key_part tbl ~slot:!cur_slot ~part)
+                 ~lo:(Ht.key_part tbl ~slot:!cur_slot ~part:(part + 1))))
       | B _ -> B (fun () -> Ht.key_part tbl ~slot:!cur_slot ~part <> 0)
       | I (_, ty) -> I ((fun () -> Ht.key_part tbl ~slot:!cur_slot ~part), ty)
+    in
+    (* A float accumulator's update, after its argument's preparation. *)
+    let prepared pre (update : slot:int -> fresh:bool -> unit) =
+      match pre with
+      | None -> update
+      | Some p ->
+        fun ~slot ~fresh ->
+          p ();
+          update ~slot ~fresh
     in
     let make_acc (acc : L.acc) : (slot:int -> fresh:bool -> unit) * v =
       match acc with
       | L.Count -> ((fun ~slot:_ ~fresh:_ -> ()), I ((fun () -> !counts.(!cur_slot)), Vtype.Int))
       | L.Sum e -> (
         match expr e with
-        | F f ->
+        | F { pre; src } ->
           let sums = ref (Array.make 64 0.0) in
-          ( (fun ~slot ~fresh ->
-              grow_f sums slot;
-              if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) +. f ()),
-            F (fun () -> !sums.(!cur_slot)) )
+          ( prepared pre (fun ~slot ~fresh ->
+                grow_f sums slot;
+                let x = fread file src in
+                if fresh then !sums.(slot) <- x else !sums.(slot) <- !sums.(slot) +. x),
+            computed (fun d () -> set d !sums.(!cur_slot)) )
         | v ->
           let f = as_int v in
           let sums = ref (Array.make 64 0) in
@@ -464,23 +588,24 @@ let compile ?trace ?drive (ir : L.t) : t =
               if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) + f ()),
             I ((fun () -> !sums.(!cur_slot)), Vtype.Int) ))
       | L.Avg e ->
-        let f = as_float (expr e) in
+        let { pre; src } = as_float (expr e) in
         let sums = ref (Array.make 64 0.0) in
-        ( (fun ~slot ~fresh ->
-            grow_f sums slot;
-            if fresh then !sums.(slot) <- f () else !sums.(slot) <- !sums.(slot) +. f ()),
-          F (fun () -> !sums.(!cur_slot) /. float_of_int !counts.(!cur_slot)) )
+        ( prepared pre (fun ~slot ~fresh ->
+              grow_f sums slot;
+              let x = fread file src in
+              if fresh then !sums.(slot) <- x else !sums.(slot) <- !sums.(slot) +. x),
+          computed (fun d () -> set d (!sums.(!cur_slot) /. float_of_int !counts.(!cur_slot))) )
       | L.Min_max { max; arg; order } -> (
         let keep_left cmp = if max then cmp > 0 else cmp < 0 in
         match (order, expr arg) with
         | L.By_float, v ->
-          let f = as_float v in
+          let { pre; src } = as_float v in
           let best = ref (Array.make 64 0.0) in
-          ( (fun ~slot ~fresh ->
-              grow_f best slot;
-              let v = f () in
-              if fresh || keep_left (Float.compare v !best.(slot)) then !best.(slot) <- v),
-            F (fun () -> !best.(!cur_slot)) )
+          ( prepared pre (fun ~slot ~fresh ->
+                grow_f best slot;
+                let x = fread file src in
+                if fresh || keep_left (Float.compare x !best.(slot)) then !best.(slot) <- x),
+            computed (fun d () -> set d !best.(!cur_slot)) )
         | L.By_string, v ->
           let f = as_int v in
           let best = ref (Array.make 64 0) in
@@ -537,11 +662,11 @@ let compile ?trace ?drive (ir : L.t) : t =
           let sign = if desc then -1 else 1 in
           match (order, expr by) with
           | L.By_float, v ->
-            let f = as_float v in
+            let { pre; src } = as_float v in
             let col = ref (Array.make 1024 0.0) in
-            ( (fun row ->
-                grow_f col row;
-                !col.(row) <- f ()),
+            ( after1 pre (fun row ->
+                  grow_f col row;
+                  !col.(row) <- fread file src),
               fun i j -> sign * Float.compare !col.(i) !col.(j) )
           | L.By_string, v ->
             let f = as_int v in
@@ -552,7 +677,7 @@ let compile ?trace ?drive (ir : L.t) : t =
               fun i j ->
                 sign * String.compare (Dict.get dict !col.(i)) (Dict.get dict !col.(j)) )
           | _, v ->
-            let f = key_part v in
+            let f = key_part file v in
             let col = ref (Array.make 1024 0) in
             ( (fun row ->
                 grow_i col row;
@@ -561,17 +686,16 @@ let compile ?trace ?drive (ir : L.t) : t =
         keys
     in
     let limit = Option.map (fun e -> as_int (expr e)) limit in
+    let extract = Array.of_list (List.map fst extractors) in
     let comparators = Array.of_list (List.map snd extractors) in
     let nkeys = Array.length comparators in
-    let cmp i j =
-      let rec go k =
-        if k = nkeys then Int.compare i j
-        else
-          let r = comparators.(k) i j in
-          if r <> 0 then r else go (k + 1)
-      in
-      go 0
+    let rec cmp_from k i j =
+      if k = nkeys then Int.compare i j
+      else
+        let r = comparators.(k) i j in
+        if r <> 0 then r else cmp_from (k + 1) i j
     in
+    let cmp i j = cmp_from 0 i j in
     let cell = cursor.cell in
     fun sink ->
       Rowstore.clear store;
@@ -579,7 +703,9 @@ let compile ?trace ?drive (ir : L.t) : t =
       (try
          run (fun () ->
              let row = write () in
-             List.iter (fun (extract, _) -> extract row) extractors;
+             for k = 0 to nkeys - 1 do
+               extract.(k) row
+             done;
              incr count)
        with Enough -> ());
       let n = !count in
@@ -597,7 +723,7 @@ let compile ?trace ?drive (ir : L.t) : t =
         emit idx
       | Some limit ->
         let k = limit () in
-        let heap = Lq_exec.Topk.create ~cmp:(fun i j -> cmp i j) ~k in
+        let heap = Lq_exec.Topk.create ~cmp ~k in
         for i = 0 to n - 1 do
           Lq_exec.Topk.push heap i
         done;
@@ -622,7 +748,9 @@ let compile ?trace ?drive (ir : L.t) : t =
       fun () -> Value.Record (Array.mapi (fun i r -> (names.(i), r !cell)) readers)
   in
   Array.iteri (fun k _ -> intern_literal k) ir.L.int_regs;
-  { ir; dict; ints; floats; cell_ints; cell_floats; run; emit; mu = Mutex.create () }
+  file.fr <- Array.make !nslots 0.0;
+  List.iter (fun (d, x) -> file.fr.(d) <- x) !literals;
+  { ir; dict; ints; file; cell_ints; cell_base; run; emit; mu = Mutex.create () }
 
 (* A compiled plan is a bundle of closures over shared cursors, registers
    and accumulator arrays — one execution at a time. The cache hands the
@@ -633,14 +761,14 @@ let execute t ~params () =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-      L.bind t.ir t.dict params ~int:(Array.set t.ints) ~float:(Array.set t.floats);
+      L.bind t.ir t.dict params ~int:(Array.set t.ints) ~float:(Array.set t.file.fr);
       if Array.length t.ir.L.cells > 0 then begin
         let ectx = Catalog.eval_ctx t.ir.L.cat ~params in
         Array.iteri
           (fun k (cell : L.cell) ->
             let v = cell.L.eval ectx in
             match cell.L.cell_ty with
-            | L.F -> t.cell_floats.(k) <- Value.to_float v
+            | L.F -> t.file.fr.(t.cell_base + k) <- Value.to_float v
             | L.I _ | L.B -> (
               match L.int_image t.dict v with
               | Some i -> t.cell_ints.(k) <- i

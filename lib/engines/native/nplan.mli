@@ -14,7 +14,15 @@
       dense unboxed arrays indexed by group slot;
     - sorting extracts key columns into arrays and quicksorts an index
       array (§7.2), or keeps a bounded heap for top-K;
-    - results are boxed only as they are emitted ("return result"). *)
+    - float expressions compile in destination-passing style: a computed
+      float node stores into its slot of one unboxed per-plan register
+      file (which also holds float parameters, sub-query cells and
+      literals), and column reads load in place, so no float is boxed
+      between the scan and the result;
+    - results are boxed only as they are emitted ("return result").
+
+    A warm execution's row loops allocate nothing: the heap sees only
+    the per-execution set-up and the boxed result rows. *)
 
 type t
 

@@ -301,15 +301,6 @@ let make ?name ~domains () : Engine_intf.t =
     let execute ~params () =
       Mutex.lock exec_mu;
       Fun.protect ~finally:(fun () -> Mutex.unlock exec_mu) @@ fun () ->
-      (* Pre-intern string parameters on the coordinating domain: the
-         workers' own bindings then only *read* the dictionary, which
-         is safe. *)
-      List.iter
-        (fun (_, v) ->
-          match v with
-          | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
-          | _ -> ())
-        params;
       (* Clamped so even a small table fans out across the workers. *)
       let unit_rows = max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers)) in
       let nmorsels = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in

@@ -1,19 +1,20 @@
 open Lq_value
 
-let like_match ~pattern s =
-  let np = String.length pattern and ns = String.length s in
-  (* Classic backtracking wildcard matcher; patterns are tiny. *)
-  let rec go p i =
-    if p = np then i = ns
-    else
-      match pattern.[p] with
-      | '%' ->
-        let rec try_from j = if go (p + 1) j then true else j < ns && try_from (j + 1) in
-        try_from i
-      | '_' -> i < ns && go (p + 1) (i + 1)
-      | c -> i < ns && s.[i] = c && go (p + 1) (i + 1)
-  in
-  go 0 0
+(* Classic backtracking wildcard matcher; patterns are tiny. Closed
+   top-level recursion, so a match allocates nothing (the native tier
+   calls it once per row). *)
+let rec like_from pattern s p i =
+  if p = String.length pattern then i = String.length s
+  else
+    match pattern.[p] with
+    | '%' -> like_any pattern s (p + 1) i
+    | '_' -> i < String.length s && like_from pattern s (p + 1) (i + 1)
+    | c -> i < String.length s && s.[i] = c && like_from pattern s (p + 1) (i + 1)
+
+and like_any pattern s p j =
+  like_from pattern s p j || (j < String.length s && like_any pattern s p (j + 1))
+
+let like_match ~pattern s = like_from pattern s 0 0
 
 let cmp a b =
   match (a, b) with

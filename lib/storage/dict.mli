@@ -5,7 +5,14 @@
     only within one dictionary; the catalog therefore shares a single
     dictionary across all tables of a dataset, which keeps cross-table
     string joins sound. Pattern predicates ([LIKE], prefixes) decode
-    through {!get}. *)
+    through {!get}.
+
+    A dictionary is shared by every Domain that plans or executes queries
+    over its catalog, and strings are interned at execute (parameters,
+    [Lower]/[Upper] results, hybrid staging). It is Domain-safe: a string
+    gets exactly one code however many Domains intern it at once, and a
+    code always decodes to its string. A lookup that finds its string
+    takes no lock; only inserts (and lookups that miss) do. *)
 
 type t
 

@@ -456,6 +456,47 @@ let test_pagelist_governor_budget () =
     check_bool "typed Resource_exhausted" true
       (f.Lq_fault.kind = Lq_fault.Resource_exhausted)
 
+(* Four Domains intern the same fresh strings, each in its own order,
+   while a base of older strings is read: every string must get exactly
+   one code, and every code must decode back to its string. *)
+let test_dict_domains () =
+  let d = Dict.create () in
+  let base = Array.init 1000 (fun i -> Printf.sprintf "base-%d" i) in
+  Array.iter (fun s -> ignore (Dict.intern d s : int)) base;
+  let n = 20_000 in
+  let fresh = Array.init n (fun i -> Printf.sprintf "fresh-%d" i) in
+  let domains = 4 in
+  let codes =
+    List.init domains (fun k ->
+        Domain.spawn (fun () ->
+            let mine = Array.make n (-1) in
+            for j = 0 to n - 1 do
+              (* a different stride per Domain (each coprime to [n]):
+                 they race on every string *)
+              let i = (j * [| 1; 3; 7; 9 |].(k)) mod n in
+              mine.(i) <- Dict.intern d fresh.(i);
+              ignore (Dict.intern d base.(j mod 1000) : int)
+            done;
+            mine))
+    |> List.map Domain.join
+  in
+  let first = List.hd codes in
+  List.iteri
+    (fun k mine ->
+      Array.iteri
+        (fun i code ->
+          if code <> first.(i) then
+            Alcotest.failf "%S: code %d on Domain 0, %d on Domain %d" fresh.(i) first.(i) code k)
+        mine)
+    codes;
+  Array.iteri
+    (fun i code ->
+      if not (String.equal (Dict.get d code) fresh.(i)) then
+        Alcotest.failf "code %d decodes to %S, not %S" code (Dict.get d code) fresh.(i);
+      if Dict.find d fresh.(i) <> Some code then Alcotest.failf "find %S" fresh.(i))
+    first;
+  check_int "one code per string" (1000 + n) (Dict.size d)
+
 (* --- mapping --- *)
 
 let nested_ty = Schema.to_vtype Lq_testkit.nested_schema
@@ -466,12 +507,12 @@ let test_mapping_build () =
       ~paths:[ [ "shop"; "city" ]; [ "item"; "price" ]; [ "shop"; "city" ] ]
       ~with_index:true
   in
-  (* duplicates collapse; names get unique suffixes; index column last *)
+  (* duplicates collapse; names follow the path; index column last *)
   Alcotest.(check (list string))
-    "flat names" [ "city_1"; "price_2"; "__idx" ]
+    "flat names" [ "shop_city"; "item_price"; "__idx" ]
     (Array.to_list (Layout.fields (Mapping.layout m)) |> List.map (fun f -> f.Layout.name));
   check_bool "flat_name lookup" true
-    (Mapping.flat_name m [ "item"; "price" ] = Some "price_2");
+    (Mapping.flat_name m [ "item"; "price" ] = Some "item_price");
   check_bool "describe mentions path" true
     (Lq_expr.Scalar.like_match ~pattern:"%shop.city%" (Mapping.describe m))
 
@@ -484,7 +525,8 @@ let test_mapping_write () =
   let dict = Dict.create () in
   let row = List.hd (Lq_testkit.nested_rows ~n:1 ()) in
   let page = Bytes.make 256 '\000' in
-  Mapping.write_row m ~dict page 0 ~index:41 row;
+  let write = Mapping.writer m ~dict in
+  write page 0 ~index:41 row;
   let layout = Mapping.layout m in
   let city_off = (Layout.field_at layout 0).Layout.offset in
   let price_off = (Layout.field_at layout 1).Layout.offset in
@@ -492,7 +534,21 @@ let test_mapping_write () =
   check_str "city staged" "London" (Dict.get dict (Fbuf.get_i32 page city_off));
   check_bool "price staged" true
     (Fbuf.get_f64 page price_off = Value.to_float (Mapping.extract row [ "item"; "price" ]));
-  check_int "index staged" 41 (Fbuf.get_i64 page idx_off)
+  check_int "index staged" 41 (Fbuf.get_i64 page idx_off);
+  (* the compiled writer reads members at their static slots; a record
+     laid out differently stages the same row through name lookups *)
+  let fields = match row with Value.Record fs -> Array.to_list fs | _ -> assert false in
+  let page' = Bytes.make 256 '\000' in
+  write page' 0 ~index:41 (Value.record (List.rev fields));
+  check_bool "reordered record staged by name" true (Bytes.equal page page');
+  check_bool "ill-typed member rejected" true
+    (match
+       write page' 0 ~index:41
+         (Value.record
+            (List.map (fun (n, v) -> if n = "oid" then (n, Value.Str "x") else (n, v)) fields))
+     with
+    | exception Invalid_argument _ -> true
+    | () -> false)
 
 let test_mapping_errors () =
   Alcotest.check_raises "unknown member"
@@ -514,7 +570,11 @@ let () =
           Alcotest.test_case "reorder" `Quick test_layout_reorder;
           Alcotest.test_case "rejects nested" `Quick test_layout_rejects_nested;
         ] );
-      ("dict", [ Alcotest.test_case "intern/get" `Quick test_dict ]);
+      ( "dict",
+        [
+          Alcotest.test_case "intern/get" `Quick test_dict;
+          Alcotest.test_case "4 Domains intern one code per string" `Quick test_dict_domains;
+        ] );
       ( "rowstore",
         [
           Alcotest.test_case "roundtrip" `Quick test_rowstore_roundtrip;
