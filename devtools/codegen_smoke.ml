@@ -1,8 +1,11 @@
 (* C-emission smoke: render the generated C for every extended-TPC-H
    query (plus Q2corr, which must render as a stub rather than crash)
-   and push each supported emission through `cc -fsyntax-only`. The
-   emitter's claim is that its output is real C, not a listing — this is
-   the check that keeps it honest without linking or executing anything.
+   and push each supported emission through `cc -fsyntax-only`. Each
+   query is emitted in two forms: with its constants as literals, and
+   parameterized — every constant a register, typed from its binding —
+   as compiled-c-jit prepares it through the provider. The emitter's
+   claim is that its output is real C, not a listing — this is the check
+   that keeps it honest without linking or executing anything.
 
    Exit 0: every supported plan's emission compiles (stubs are reported
    but don't fail). Exit 1: cc rejected an emission. Exit 77-style loud
@@ -59,28 +62,36 @@ let () =
     @ Lq_tpch.Queries.extended
     @ [ ("Q2corr", Lq_tpch.Queries.q2_correlated) ]
   in
+  let prov = Lq_core.Provider.create cat in
   let failures = ref 0 in
   let stubs = ref 0 in
+  let emissions = ref 0 in
+  let emit name param_types q =
+    incr emissions;
+    match Lq_native.Loop.lower cat ~params:param_types (Lq_plan.Lower.lower cat q) with
+    | exception _ ->
+      incr stubs;
+      Printf.printf "  %-16s stub (does not lower)\n" name
+    | ir -> (
+      match Lq_native.Codegen_c.emit_plan ir with
+      | exception Lq_native.Codegen_c.Unsupported_c reason ->
+        incr stubs;
+        Printf.printf "  %-16s stub (%s)\n" name reason
+      | prog ->
+        if syntax_check name prog.Lq_native.Codegen_c.c_source then
+          Printf.printf "  %-16s ok (%d tables, %d int regs, %d float regs)\n" name
+            (List.length prog.Lq_native.Codegen_c.scan_tables)
+            (List.length prog.Lq_native.Codegen_c.int_params)
+            (List.length prog.Lq_native.Codegen_c.float_params)
+        else incr failures)
+  in
   List.iter
     (fun (name, q) ->
-      match Lq_native.Loop.lower cat (Lq_plan.Lower.lower cat q) with
-      | exception _ ->
-        incr stubs;
-        Printf.printf "  %-8s stub (does not lower)\n" name
-      | ir -> (
-        match Lq_native.Codegen_c.emit_plan ir with
-        | exception Lq_native.Codegen_c.Unsupported_c reason ->
-          incr stubs;
-          Printf.printf "  %-8s stub (%s)\n" name reason
-        | prog ->
-          if syntax_check name prog.Lq_native.Codegen_c.c_source then
-            Printf.printf "  %-8s ok (%d tables, %d int regs, %d float regs)\n"
-              name
-              (List.length prog.Lq_native.Codegen_c.scan_tables)
-              (List.length prog.Lq_native.Codegen_c.int_params)
-              (List.length prog.Lq_native.Codegen_c.float_params)
-          else incr failures))
+      let front = Lq_core.Provider.front_end prov ~params:Lq_tpch.Queries.extended_params q in
+      let param_types = Lq_core.Provider.param_types prov front in
+      emit (name ^ " literal") param_types q;
+      emit (name ^ " param") param_types front.Lq_core.Provider.parameterized)
     queries;
-  Printf.printf "codegen smoke: %d queries, %d stubs, %d failures\n"
-    (List.length queries) !stubs !failures;
+  Printf.printf "codegen smoke: %d queries, %d emissions, %d stubs, %d failures\n"
+    (List.length queries) !emissions !stubs !failures;
   if !failures > 0 then exit 1

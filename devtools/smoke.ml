@@ -34,16 +34,21 @@ let () =
     "subquery", (source "cities" |> where "s" ((v "s" $. "pop") >=: max_of (subquery (source "cities")) "x" (v "x" $. "pop"))), [];
     "groups-plain", (source "cities" |> group_by ~key:("s", v "s" $. "name")), [];
   ] in
+  (* every smoke parameter is bound, so its binding's type is its type *)
+  let param_types params =
+    List.filter_map (fun (n, v) -> Option.map (fun ty -> (n, ty)) (Value.type_of v)) params
+  in
   List.iter (fun (name, q, params) ->
+    let param_types = param_types params in
     let expected = Lq_expr.Eval.query (Lq_catalog.Catalog.eval_ctx cat ~params) ~env:[] q in
-    let lo = (Lq_linqobj.Linq_objects.engine.prepare cat q).execute ~params () in
+    let lo = (Lq_linqobj.Linq_objects.engine.prepare cat ~param_types q).execute ~params () in
     check (name ^ "/linqobj") expected lo;
-    let cs = ((Lq_compiled.Csharp_engine.engine).prepare cat q).execute ~params () in
+    let cs = ((Lq_compiled.Csharp_engine.engine).prepare cat ~param_types q).execute ~params () in
     check (name ^ "/csharp") expected cs;
-    let naive = (Lq_compiled.Csharp_engine.engine_with Lq_compiled.Options.naive).prepare cat q in
+    let naive = (Lq_compiled.Csharp_engine.engine_with Lq_compiled.Options.naive).prepare cat ~param_types q in
     check (name ^ "/csharp-naive") expected (naive.execute ~params ());
     (try
-       let prepared = (Lq_native.Native_engine.engine).prepare cat q in
+       let prepared = (Lq_native.Native_engine.engine).prepare cat ~param_types q in
        let nv = prepared.execute ~params () in
        check (name ^ "/native") expected nv;
        check (name ^ "/native-rerun") expected (prepared.execute ~params ())
@@ -51,7 +56,7 @@ let () =
        Printf.printf "native skipped %s: %s\n" name msg);
     List.iter (fun (vname, eng) ->
       try
-        let prepared = (eng : Lq_catalog.Engine_intf.t).prepare cat q in
+        let prepared = (eng : Lq_catalog.Engine_intf.t).prepare cat ~param_types q in
         let hv = prepared.execute ~params () in
         check (name ^ "/" ^ vname) expected hv;
         check (name ^ "/" ^ vname ^ "-rerun") expected (prepared.execute ~params ())

@@ -76,10 +76,6 @@ let add t ~name ~schema rows =
     invalid_arg (Printf.sprintf "Catalog.add: table %S already registered" name);
   Hashtbl.add t.tables name (make_table t ~name ~schema rows)
 
-let replace t ~name ~schema rows =
-  Hashtbl.replace t.tables name (make_table t ~name ~schema rows);
-  notify_invalidate t name
-
 let remove t name =
   if Hashtbl.mem t.tables name then begin
     Hashtbl.remove t.tables name;
@@ -122,18 +118,7 @@ let eval_ctx t ~params =
   Lq_expr.Eval.ctx ~catalog:(fun name -> (table t name).rows) ~params ()
 
 let tenv t ~params =
-  Lq_expr.Typecheck.tenv
-    ~source_type:(fun name -> Schema.to_vtype (table t name).schema)
-    ~param_type:(fun name ->
-      match List.assoc_opt name params with
-      | Some ty -> ty
-      | None -> Lq_expr.Typecheck.error "unknown parameter %S" name)
-    ()
-
-let infer_param_types _t ~params =
-  List.filter_map
-    (fun (name, v) -> Option.map (fun ty -> (name, ty)) (Value.type_of v))
-    params
+  Lq_expr.Typecheck.tenv ~source_type:(fun name -> Schema.to_vtype (table t name).schema) ~params ()
 
 (* --- hash indexes (§9 future work) --- *)
 
@@ -158,3 +143,16 @@ let create_index t ~table:tname ~column =
 
 let index table column = Hashtbl.find_opt table.indexes column
 let indexed_columns table = Hashtbl.fold (fun c _ acc -> c :: acc) table.indexes []
+
+(* A new version keeps the hash indexes declared on the old one (on the
+   columns it still has), rebuilt over its rows, so plans prepared after
+   the write still probe. *)
+let replace t ~name ~schema rows =
+  let indexed =
+    match Hashtbl.find_opt t.tables name with
+    | Some old -> List.filter (Schema.mem schema) (indexed_columns old)
+    | None -> []
+  in
+  Hashtbl.replace t.tables name (make_table t ~name ~schema rows);
+  List.iter (fun column -> create_index t ~table:name ~column) indexed;
+  notify_invalidate t name

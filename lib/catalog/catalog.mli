@@ -39,7 +39,10 @@ val replace : t -> name:string -> schema:Schema.t -> Value.t list -> unit
 (** Replaces (or first registers) a table's contents and fires the
     invalidation hooks — the reload/mutation entry point. Cached results
     derived from the old contents must be dropped; the query provider
-    subscribes via {!on_invalidate} to do so automatically. *)
+    subscribes via {!on_invalidate} to do so automatically. The hash
+    indexes declared on the old version ({!create_index}) are rebuilt
+    over the new rows, for every indexed column the new schema still
+    has, before the hooks fire. *)
 
 val remove : t -> string -> unit
 (** Unregisters a table (no-op when absent) and fires the hooks. *)
@@ -98,8 +101,5 @@ val eval_ctx : t -> params:(string * Value.t) list -> Lq_expr.Eval.ctx
 (** Context for the reference interpreter over this catalog. *)
 
 val tenv : t -> params:(string * Vtype.t) list -> Lq_expr.Typecheck.tenv
-(** Typing environment: sources resolve to their element types. *)
-
-val infer_param_types :
-  t -> params:(string * Value.t) list -> (string * Vtype.t) list
-(** Parameter typings derived from bound values. *)
+(** Typing environment: sources resolve to their element types, and
+    [params] type the bound parameters. *)

@@ -37,7 +37,12 @@ type t = {
   name : string;
   describe : string;
   caps : caps;
-  prepare : ?instr:Instr.t -> Catalog.t -> Lq_expr.Ast.query -> prepared;
+  prepare :
+    ?instr:Instr.t ->
+    Catalog.t ->
+    param_types:(string * Vtype.t) list ->
+    Lq_expr.Ast.query ->
+    prepared;
 }
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt

@@ -53,7 +53,17 @@ type t = {
   name : string;
   describe : string;
   caps : caps;
-  prepare : ?instr:Instr.t -> Catalog.t -> Lq_expr.Ast.query -> prepared;
+  prepare :
+    ?instr:Instr.t ->
+    Catalog.t ->
+    param_types:(string * Vtype.t) list ->
+    Lq_expr.Ast.query ->
+    prepared;
+      (** [param_types] types the query's parameters: each bound one as
+          [Value.type_of] its binding, each unbound one by
+          {!Lq_expr.Typecheck}'s context rule. Engines that compile to
+          typed registers read it; the others ignore it. A prepared plan
+          executes under bindings of these types. *)
 }
 
 val unsupported : ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -4,6 +4,7 @@ module Catalog = Lq_catalog.Catalog
 module Engine_intf = Lq_catalog.Engine_intf
 module Trace = Lq_trace.Trace
 module Value = Lq_value.Value
+module Vtype = Lq_value.Vtype
 
 type t = {
   cat : Catalog.t;
@@ -40,16 +41,17 @@ let optimized t q = Optimizer.run ~options:t.optimizer q
 
 (* The request front end: canonicalize + optimize, replace constants by
    parameters, lower to the shared physical plan, key it on the plan's
-   shape. Its cost is set by the query's plan, not by the data: lowering
-   reads only O(1) catalog statistics. A service request builds it once
-   and every attempt, retry and fallback hop reuses it. [checkpoint] is
-   called at each stage boundary with the stage just finished; raising
-   from it aborts the pipeline (the service layer's cooperative deadline
-   cancellation). *)
+   shape and its holes' types. Its cost is set by the query's plan, not
+   by the data: lowering reads only O(1) catalog statistics. A service
+   request builds it once and every attempt, retry and fallback hop
+   reuses it. [checkpoint] is called at each stage boundary with the
+   stage just finished; raising from it aborts the pipeline (the service
+   layer's cooperative deadline cancellation). *)
 type front_end = {
   optimized : Ast.query;
   parameterized : Ast.query;
   bindings : (string * Value.t) list;
+  hole_types : (string * Vtype.t option) list;
   shape : string;
   features : Lq_plan.Plan.features;
   notes : string list;
@@ -65,14 +67,30 @@ let classified stage f =
   | exn ->
     raise (Lq_fault.Fault (Lq_fault.classify ~stage ~default:Lq_fault.Codegen_error exn))
 
-let front_end t ?(checkpoint = fun _ -> ()) q =
+(* A hole's type is its binding's: a constant's, or the caller's value
+   for a parameter of the query ([None] when the caller binds none). *)
+let hole_types ~params bindings referenced =
+  List.map (fun (name, v) -> (name, Value.type_of v)) bindings
+  @ List.map
+      (fun name -> (name, Option.bind (List.assoc_opt name params) Value.type_of))
+      referenced
+
+(* The plan key carries the holes' types, so an [Int] and a [Float]
+   binding of one hole never share a compiled plan (nor a recycled
+   result). ["?"] marks a parameter with no binding. *)
+let typed_key shape hole_types =
+  let ty = function Some ty -> Vtype.to_string ty | None -> "?" in
+  String.concat " " ((shape ^ "\nparams") :: List.map (fun (n, t) -> n ^ ":" ^ ty t) hole_types)
+
+let front_end t ?(params = []) ?(checkpoint = fun _ -> ()) q =
   let q =
     Trace.with_span Trace.Optimize "optimize" (fun () ->
         Lq_fault.Inject.hit "provider/optimize";
         classified "optimize" (fun () -> optimized t q))
   in
   checkpoint "optimized";
-  let parameterized, bindings = Shape.parameterize q in
+  let parameterized, bindings, referenced = Shape.holes q in
+  let hole_types = hole_types ~params bindings referenced in
   let plan =
     Trace.with_span Trace.Lower "lower" (fun () ->
         Lq_fault.Inject.hit "provider/lower";
@@ -85,7 +103,8 @@ let front_end t ?(checkpoint = fun _ -> ()) q =
     optimized = q;
     parameterized;
     bindings;
-    shape = Lq_plan.Plan.shape_key plan;
+    hole_types;
+    shape = typed_key (Lq_plan.Plan.shape_key plan) hole_types;
     features = Lq_plan.Plan.features plan;
     notes = Lq_plan.Decorrelate.notes_of_query q;
     tables = Ast.sources_of_query q;
@@ -94,12 +113,23 @@ let front_end t ?(checkpoint = fun _ -> ()) q =
 let supports front ~(engine : Engine_intf.t) =
   Lq_plan.Plan.check engine.Engine_intf.caps front.features
 
+(* The typing a plan-cache miss prepares under. Only a parameter with no
+   binding (a [prepare_only] caller's) needs the type checker: the
+   context rule types it from the operand it meets. *)
+let param_types t front =
+  let bound =
+    List.filter_map (fun (name, ty) -> Option.map (fun ty -> (name, ty)) ty) front.hole_types
+  in
+  if List.compare_lengths bound front.hole_types = 0 then bound
+  else Lq_expr.Typecheck.param_types (Catalog.tenv t.cat ~params:bound) front.parameterized
+
 (* Compiled plans always see parameters where the query had constants, so
    a cached plan can be re-run with new values. The engine's declared
    capabilities are checked against the plan *before* any code generation
    is paid. *)
-let prepare_internal t ~(engine : Engine_intf.t) ?instr ?(checkpoint = fun _ -> ()) ?front q =
-  let front = match front with Some f -> f | None -> front_end t ~checkpoint q in
+let prepare_internal t ~(engine : Engine_intf.t) ?instr ?params ?(checkpoint = fun _ -> ())
+    ?front q =
+  let front = match front with Some f -> f | None -> front_end t ?params ~checkpoint q in
   (match supports front ~engine with
   | Ok () -> ()
   | Error msg -> raise (Engine_intf.Unsupported msg));
@@ -110,7 +140,8 @@ let prepare_internal t ~(engine : Engine_intf.t) ?instr ?(checkpoint = fun _ -> 
     Trace.with_span Trace.Codegen engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/prepare";
         classified "prepare" (fun () ->
-            engine.Engine_intf.prepare ?instr t.cat front.parameterized))
+            engine.Engine_intf.prepare ?instr t.cat ~param_types:(param_types t front)
+              front.parameterized))
   in
   let prepared, outcome =
     if t.use_cache && instr = None then
@@ -141,7 +172,7 @@ let prepare_only t ~engine q =
   (prepared, outcome)
 
 let run t ~engine ?(params = []) ?checkpoint ?front q =
-  let prepared, _, front = prepare_internal t ~engine ?checkpoint ?front q in
+  let prepared, _, front = prepare_internal t ~engine ~params ?checkpoint ?front q in
   let all_params = params @ front.bindings in
   let execute () =
     Trace.with_span Trace.Execute engine.Engine_intf.name (fun () ->
@@ -236,7 +267,7 @@ let report t =
 
 let run_instrumented t ~engine ?(params = []) hierarchy q =
   let instr = Lq_catalog.Instr.of_hierarchy hierarchy in
-  let prepared, _, front = prepare_internal t ~engine ~instr q in
+  let prepared, _, front = prepare_internal t ~engine ~instr ~params q in
   prepared.Engine_intf.execute ~params:(params @ front.bindings) ()
 
 let reference t ?(params = []) q =

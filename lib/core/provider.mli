@@ -66,7 +66,13 @@ type front_end = private {
   optimized : Lq_expr.Ast.query;  (** after canonicalization and rewrites *)
   parameterized : Lq_expr.Ast.query;  (** every constant a [Param "__c<i>"] *)
   bindings : (string * Value.t) list;  (** ["__c<i>"] to its constant *)
-  shape : string;  (** the lowered plan's {!Lq_plan.Plan.shape_key} *)
+  hole_types : (string * Vtype.t option) list;
+      (** every hole of [parameterized] — the constants' ["__c<i>"], then
+          the caller's parameters it references — with [Value.type_of]
+          its binding; [None] when the caller binds none *)
+  shape : string;
+      (** the lowered plan's {!Lq_plan.Plan.shape_key}, then
+          [hole_types]: the plan-cache and result-cache key *)
   features : Lq_plan.Plan.features;  (** what the capability check reads *)
   notes : string list;  (** decorrelation notes; [[]] when nothing was rewritten *)
   tables : string list;  (** source tables, for cache invalidation *)
@@ -75,16 +81,28 @@ type front_end = private {
     engine that does not depend on the engine. Building it costs time set
     by the query's plan, not by the tables' sizes. *)
 
-val front_end : t -> ?checkpoint:(string -> unit) -> Lq_expr.Ast.query -> front_end
+val front_end :
+  t ->
+  ?params:(string * Value.t) list ->
+  ?checkpoint:(string -> unit) ->
+  Lq_expr.Ast.query ->
+  front_end
 (** Optimize, parameterize, lower and key the query, under the
     ["provider/optimize"] and ["provider/lower"] injection points and
-    their trace spans. Failures are raised as typed {!Lq_fault.Fault}s.
-    [checkpoint] is invoked with ["optimized"], then ["planned"]. *)
+    their trace spans. [params] are the caller's bindings (default none):
+    their types enter the key. Failures are raised as typed
+    {!Lq_fault.Fault}s. [checkpoint] is invoked with ["optimized"], then
+    ["planned"]. *)
 
 val supports : front_end -> engine:Lq_catalog.Engine_intf.t -> (unit, string) result
 (** The engine's capability verdict on the lowered plan: [Error reason]
     means preparation is guaranteed to raise
     {!Lq_catalog.Engine_intf.Unsupported}. *)
+
+val param_types : t -> front_end -> (string * Vtype.t) list
+(** The typing a plan-cache miss passes to the engine's [prepare]: every
+    bound hole's type, and, only when some parameter has no binding,
+    {!Lq_expr.Typecheck.param_types}' context rule for the rest. *)
 
 val run :
   t ->
@@ -96,9 +114,10 @@ val run :
   Value.t list
 (** Full pipeline: the front end, hit or fill the cache, execute.
 
-    [front], when given, must be [front_end t q] for this same query; the
-    run then skips straight to the capability check and the caches. The
-    service builds it once per request and passes it to every attempt.
+    [front], when given, must be [front_end t ~params q] for this same
+    query and bindings; the run then skips straight to the capability
+    check and the caches. The service builds it once per request and
+    passes it to every attempt.
 
     [checkpoint] (default: no-op) is invoked at each stage boundary with
     the stage just completed — ["optimized"], ["planned"], then

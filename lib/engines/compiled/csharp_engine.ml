@@ -9,7 +9,7 @@ let make ~name ~describe options : Engine_intf.t =
        correlated sub-queries are refused at plan time (§7.5). *)
     caps = { Engine_intf.caps_any with supports_correlated = false };
     prepare =
-      (fun ?instr cat query ->
+      (fun ?instr cat ~param_types:_ query ->
         let start = Profile.now_ms () in
         let plan = Plan.compile ~options ?instr cat query in
         let source = Codegen_cs.emit query in

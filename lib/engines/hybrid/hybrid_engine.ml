@@ -63,7 +63,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
       (match construction with Min -> "min" | Max -> "max")
       (if buffered then ",buffer" else "")
   in
-  let prepare ?instr cat (query : Ast.query) =
+  let prepare ?instr cat ~param_types (query : Ast.query) =
     let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
     let start_ms = Profile.now_ms () in
     (* Stage boundaries come from the shared lowering: every known scan of
@@ -356,7 +356,8 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
           List.find_opt (fun st -> String.equal st.spec.Split.occ occ) staged
           |> Option.map (fun st -> st.store)
         in
-        let ir = Loop.lower ~staged:staged_store cat (Lq_plan.Lower.lower cat rewritten) in
+        let ir = Loop.lower ~staged:staged_store cat ~params:param_types
+            (Lq_plan.Lower.lower cat rewritten) in
         let drive occ =
           let st = staged_occ occ in
           fun emit -> !(st.driver_cell) emit

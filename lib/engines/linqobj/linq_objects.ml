@@ -118,7 +118,7 @@ let engine : Engine_intf.t =
       "baseline: enumerator pipeline over boxed objects, interpreted lambdas";
     caps = Engine_intf.caps_any;
     prepare =
-      (fun ?instr cat query ->
+      (fun ?instr cat ~param_types:_ query ->
         (* Nothing is compiled. As the trivial backend of the shared
            lowering, the plan is round-tripped back to an expression tree
            the enumerator pipeline interprets — the plan's conjunct

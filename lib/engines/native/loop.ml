@@ -133,6 +133,7 @@ let bind t dict params ~int ~float =
 type ctx = {
   cat : Catalog.t;
   staged : string -> Rowstore.t option;
+  params : (string * Vtype.t) list;
   tenv : Lq_expr.Typecheck.tenv Lazy.t;
   mutable iregs : (reg * int) list;  (** reversed allocation order *)
   mutable fregs : (string * int) list;
@@ -169,20 +170,20 @@ let new_rel c layout =
 
 let mk ty node = { ty; node }
 
-(* Parameters stay untyped until their context fixes the register kind. *)
-type pre = T of expr | P of string
+let param_ty c name =
+  match List.assoc_opt name c.params with
+  | Some Vtype.Float -> F
+  | Some ((Vtype.Int | Vtype.Date | Vtype.Bool | Vtype.String) as ty) -> I ty
+  | Some ty -> unsupported "parameter %S of type %s (native)" name (Vtype.to_string ty)
+  | None -> unsupported "parameter %S: no binding and no typed operand (native)" name
 
-let force c = function
-  | T e -> e
-  | P name -> mk (I Vtype.Int) (Reg (int_reg c (Named name)))
-
-let coerce_like c pre ~like =
-  match pre with
-  | T e -> e
-  | P name -> (
-    match like with
-    | F -> mk F (Reg (float_reg c name))
-    | ty -> mk ty (Reg (int_reg c (Named name))))
+(* A parameter is a register of its given type, allocated where it is
+   read. An int parameter read [beside] a float takes a float register,
+   so the promotion a column pays per row is paid once at bind. *)
+let param c ?beside name =
+  match (param_ty c name, beside) with
+  | F, _ | I Vtype.Int, Some F -> mk F (Reg (float_reg c name))
+  | ty, _ -> mk ty (Reg (int_reg c (Named name)))
 
 let as_bool e =
   match e.ty with
@@ -246,18 +247,18 @@ let agg_outside c kind src sel =
   | _ -> unsupported "aggregate outside a group (native)"
 
 let compile c ~env ?(on_agg = agg_outside c) expr : expr =
-  let rec go (e : Ast.expr) : pre =
+  let rec go (e : Ast.expr) : expr =
     match e with
-    | Ast.Const (Value.Int i) -> T (mk (I Vtype.Int) (Int_lit i))
-    | Ast.Const (Value.Date d) -> T (mk (I Vtype.Date) (Int_lit d))
-    | Ast.Const (Value.Bool b) -> T (mk B (Bool_lit b))
-    | Ast.Const (Value.Float f) -> T (mk F (Float_lit f))
-    | Ast.Const (Value.Str s) -> T (mk (I Vtype.String) (Reg (int_reg c (Str_const s))))
+    | Ast.Const (Value.Int i) -> mk (I Vtype.Int) (Int_lit i)
+    | Ast.Const (Value.Date d) -> mk (I Vtype.Date) (Int_lit d)
+    | Ast.Const (Value.Bool b) -> mk B (Bool_lit b)
+    | Ast.Const (Value.Float f) -> mk F (Float_lit f)
+    | Ast.Const (Value.Str s) -> mk (I Vtype.String) (Reg (int_reg c (Str_const s)))
     | Ast.Const v -> unsupported "constant %s (native)" (Value.to_string v)
-    | Ast.Param name -> P name
+    | Ast.Param name -> param c name
     | Ast.Var name -> (
       match List.assoc_opt name env with
-      | Some (Scalar e) -> T e
+      | Some (Scalar e) -> e
       | Some (Row _ | Fields _) ->
         unsupported "whole-element use of %S (native backend needs scalars)" name
       | None -> unsupported "unbound variable %S (native)" name)
@@ -266,72 +267,67 @@ let compile c ~env ?(on_agg = agg_outside c) expr : expr =
       | Some (Row rel) -> (
         let layout = Hashtbl.find c.layouts rel in
         match Layout.field_index layout field with
-        | Some col -> T (mk (col_ty (Layout.field_at layout col)) (Col (rel, col)))
+        | Some col -> mk (col_ty (Layout.field_at layout col)) (Col (rel, col))
         | None -> unsupported "row has no member %S (native)" field)
       | Some (Fields fields) -> (
         match List.assoc_opt field fields with
-        | Some e -> T e
+        | Some e -> e
         | None -> unsupported "element has no member %S (native)" field)
       | Some (Scalar _) -> unsupported "member %S of a scalar (native)" field
       | None -> unsupported "unbound variable %S (native)" name)
     | Ast.Member (_, field) ->
       unsupported "nested member access .%s (flat native data only)" field
     | Ast.Unop (Ast.Neg, e) -> (
-      match force c (go e) with
-      | { ty = I Vtype.Int | F; _ } as e -> T (mk e.ty (Neg e))
+      match go e with
+      | { ty = I Vtype.Int | F; _ } as e -> mk e.ty (Neg e)
       | _ -> unsupported "negation of non-numeric (native)")
-    | Ast.Unop (Ast.Not, e) -> T (mk B (Not (as_bool (force c (go e)))))
+    | Ast.Unop (Ast.Not, e) -> mk B (Not (as_bool (go e)))
     | Ast.Binop (Ast.And, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (mk B (And (fa, fb)))
+      let fa = as_bool (go a) in
+      let fb = as_bool (go b) in
+      mk B (And (fa, fb))
     | Ast.Binop (Ast.Or, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (mk B (Or (fa, fb)))
+      let fa = as_bool (go a) in
+      let fb = as_bool (go b) in
+      mk B (Or (fa, fb))
     | Ast.Binop (op, a, b) ->
-      let pa = go a and pb = go b in
-      let ta, tb =
-        match (pa, pb) with
-        | T ta, T tb -> (ta, tb)
-        | T ta, (P _ as pb) -> (ta, coerce_like c pb ~like:ta.ty)
-        | (P _ as pa), T tb -> (coerce_like c pa ~like:tb.ty, tb)
-        | (P _ as pa), (P _ as pb) -> (
-          (* Two bare parameters: float registers (which also accept
-             integer bindings) for arithmetic and comparisons; integer
-             division/modulo semantics cannot be guessed. *)
-          match op with
-          | Ast.Div | Ast.Mod ->
-            unsupported "integer-or-float division of two parameters (native)"
-          | _ -> (coerce_like c pa ~like:F, coerce_like c pb ~like:F))
-      in
-      T (binop op ta tb)
+      let ta, tb = operands a b in
+      binop op ta tb
     | Ast.If (cond, th, el) -> (
-      let fc = as_bool (force c (go cond)) in
-      let pt = go th and pe = go el in
-      (* Parameters in one branch take the other branch's type; two bare
-         parameters default to integer registers. *)
-      let tt, te =
-        match (pt, pe) with
-        | T a, T b -> (a, b)
-        | T a, (P _ as pb) -> (a, coerce_like c pb ~like:a.ty)
-        | (P _ as pa), T b -> (coerce_like c pa ~like:b.ty, b)
-        | (P _ as pa), (P _ as pb) -> (force c pa, force c pb)
-      in
+      let fc = as_bool (go cond) in
+      let tt, te = operands th el in
       match (tt.ty, te.ty) with
-      | I ty1, I ty2 when Vtype.equal ty1 ty2 -> T (mk tt.ty (If (fc, tt, te)))
-      | B, B -> T (mk B (If (fc, tt, te)))
+      | I ty1, I ty2 when Vtype.equal ty1 ty2 -> mk tt.ty (If (fc, tt, te))
+      | B, B -> mk B (If (fc, tt, te))
       | _ when numeric tt && numeric te ->
         let f1 = as_float tt and f2 = as_float te in
-        T (mk F (If (fc, f1, f2)))
+        mk F (If (fc, f1, f2))
       | _ -> unsupported "if branches of mismatched native types")
-    | Ast.Call (f, args) -> T (call f args)
-    | Ast.Agg (kind, src, sel) -> T (on_agg kind src sel)
+    | Ast.Call (f, args) -> call f args
+    | Ast.Agg (kind, src, sel) -> on_agg kind src sel
     | Ast.Subquery q ->
       if Ast.is_correlated q then
         unsupported "correlated sub-query left by the decorrelation pass (native backend)"
-      else T (cell c (Ast.Subquery q))
+      else cell c (Ast.Subquery q)
     | Ast.Record_of _ -> unsupported "object construction inside a native scalar expression"
+  (* Two operands side by side. A parameter operand is read after the
+     other one, beside its type, so its register is numbered where the
+     operator reads it; of two parameters the right one is read first.
+     That is the order the C tier's [ip]/[fp] arrays are packed in. *)
+  and operands a b =
+    match (a, b) with
+    | Ast.Param pa, Ast.Param pb ->
+      let tb = param c ~beside:(param_ty c pa) pb in
+      (param c ~beside:tb.ty pa, tb)
+    | Ast.Param pa, b ->
+      let tb = go b in
+      (param c ~beside:tb.ty pa, tb)
+    | a, Ast.Param pb ->
+      let ta = go a in
+      (ta, param c ~beside:ta.ty pb)
+    | a, b ->
+      let ta = go a in
+      (ta, go b)
   and binop op ta tb =
     match op with
     | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
@@ -351,19 +347,17 @@ let compile c ~env ?(on_agg = agg_outside c) expr : expr =
       | _ when numeric ta && numeric tb ->
         let fa = as_float ta and fb = as_float tb in
         compare By_float fa fb
-      | B, B -> compare By_bool ta tb
+      | (B | I Vtype.Bool), (B | I Vtype.Bool) -> compare By_bool (as_bool ta) (as_bool tb)
       | _ ->
         unsupported "comparison between %s and %s (native)"
           (Vtype.to_string (vty ta.ty)) (Vtype.to_string (vty tb.ty)))
     | Ast.And | Ast.Or -> assert false
   and call f args =
-    (* Arguments in known-type positions coerce parameters accordingly. *)
     let string_arg e =
-      match coerce_like c (go e) ~like:(I Vtype.String) with
+      match go e with
       | { ty = I Vtype.String; _ } as e -> e
       | _ -> unsupported "expected a string-typed native expression"
     in
-    let force_date e = coerce_like c (go e) ~like:(I Vtype.Date) in
     match (f, args) with
     | (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like), [ subject; patt ] -> (
       let subject = string_arg subject in
@@ -383,21 +377,21 @@ let compile c ~env ?(on_agg = agg_outside c) expr : expr =
     | Ast.Upper, [ e ] -> mk (I Vtype.String) (Case (`Upper, string_arg e))
     | Ast.Length, [ e ] -> mk (I Vtype.Int) (Length (string_arg e))
     | Ast.Abs, [ e ] -> (
-      match force c (go e) with
+      match go e with
       | { ty = I Vtype.Int | F; _ } as e -> mk e.ty (Abs e)
       | _ -> unsupported "Abs on non-numeric (native)")
     | Ast.Year, [ e ] -> (
-      match force_date e with
+      match go e with
       | { ty = I Vtype.Date; _ } as e -> mk (I Vtype.Int) (Year e)
       | _ -> unsupported "Year on non-date (native)")
     | Ast.Add_days, [ d; n ] -> (
-      match (force_date d, force c (go n)) with
+      match (go d, go n) with
       | ({ ty = I Vtype.Date; _ } as d), ({ ty = I Vtype.Int; _ } as n) ->
         mk (I Vtype.Date) (Add_days (d, n))
       | _ -> unsupported "AddDays arguments (native)")
     | _, _ -> unsupported "call %s (native)" (Lq_expr.Pretty.func_name f)
   in
-  force c (go expr)
+  go expr
 
 (* --- plan lowering ----------------------------------------------------- *)
 
@@ -656,12 +650,13 @@ and gen_sort c input keys limit =
   in
   (Row spill.rel, fun () -> Sort { input = build_in (); spill; keys; limit })
 
-let lower ?(staged = fun _ -> None) cat (plan : P.t) : t =
+let lower ?(staged = fun _ -> None) cat ~params (plan : P.t) : t =
   let c =
     {
       cat;
       staged;
-      tenv = lazy (Catalog.tenv cat ~params:[]);
+      params;
+      tenv = lazy (Catalog.tenv cat ~params);
       iregs = [];
       fregs = [];
       layouts = Hashtbl.create 8;

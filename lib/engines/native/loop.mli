@@ -1,12 +1,13 @@
 (** The typed loop IR under both native tiers (§5).
 
     [lower] turns one lowered [Lq_plan.Plan.t] into loops over flat row
-    stores and makes every typing decision once: scalar types and
-    parameter coercions, register allocation, group-key layout, the fused
+    stores and makes every typing decision once: scalar types and numeric
+    promotion, register allocation, group-key layout, the fused
     accumulator set, spill columns, sort-key orders, index probes,
-    per-execution sub-query cells and externally staged sources. The
-    interpreted tier ({!Nplan}) compiles the result to closures; the JIT
-    tier ({!Codegen_c}) prints it as C. Neither re-derives a type: both
+    per-execution sub-query cells and externally staged sources (a
+    parameter's type is given, never inferred here). The interpreted
+    tier ({!Nplan}) compiles the result to closures; the JIT tier
+    ({!Codegen_c}) prints it as C. Neither re-derives a type: both
     translate nodes, and only the hash-key image of a float stays
     backend-specific (two 32-bit halves in OCaml, one int64 in C).
 
@@ -123,13 +124,16 @@ type t = private {
 val lower :
   ?staged:(string -> Lq_storage.Rowstore.t option) ->
   Lq_catalog.Catalog.t ->
+  params:(string * Vtype.t) list ->
   Lq_plan.Plan.t ->
   t
-(** [staged] redirects named sources to externally staged stores.
+(** [params] (the engine contract's [param_types]) types each parameter
+    as a register and the sub-query cells. [staged] redirects named
+    sources to externally staged stores.
     @raise Lq_catalog.Engine_intf.Unsupported for plans outside the
     native subset (nested data, correlated sub-queries, unfused groups,
-    untypable parameters...); @raise Lq_catalog.Catalog.Not_flat for
-    non-flat source tables. *)
+    parameters [params] does not type...); @raise
+    Lq_catalog.Catalog.Not_flat for non-flat source tables. *)
 
 val fields : t -> elem -> (string * expr) list
 (** The fields of an element; a [Scalar] is the single field ["__val"]. *)

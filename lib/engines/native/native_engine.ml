@@ -17,14 +17,14 @@ let engine : Engine_intf.t =
         supports_group_no_selector = false;
       };
     prepare =
-      (fun ?instr cat query ->
+      (fun ?instr cat ~param_types query ->
         let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
         let start = Profile.now_ms () in
         (* Lower once; the interpreted program and the C listing share the
            same loop IR (and the JIT compiles that listing). *)
         let plan, source =
           try
-            let ir = Loop.lower cat (Lq_plan.Lower.lower cat query) in
+            let ir = Loop.lower cat ~params:param_types (Lq_plan.Lower.lower cat query) in
             (Nplan.compile ?trace ir, Codegen_c.emit_lowered ir)
           with
           | Catalog.Not_flat table ->

@@ -223,7 +223,7 @@ let morsel_size () =
   | None -> default_morsel_size
 
 let make ?name ~domains () : Engine_intf.t =
-  let prepare ?instr cat (query : Ast.query) =
+  let prepare ?instr cat ~param_types (query : Ast.query) =
     ignore instr;
     let start = Lq_metrics.Profile.now_ms () in
     check_query query;
@@ -279,7 +279,7 @@ let make ?name ~domains () : Engine_intf.t =
     let ir =
       Lq_native.Loop.lower
         ~staged:(fun name -> if String.equal name source_name then Some store else None)
-        cat
+        cat ~params:param_types
         (Lq_plan.Lower.lower cat pipeline)
     in
     let wplans =

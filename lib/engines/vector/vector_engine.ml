@@ -815,7 +815,7 @@ let engine : Engine_intf.t =
         supports_group_no_selector = false;
       };
     prepare =
-      (fun ?instr cat query ->
+      (fun ?instr cat ~param_types:_ query ->
         (try
            List.iter
              (fun s ->

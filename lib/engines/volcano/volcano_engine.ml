@@ -291,7 +291,7 @@ let engine : Engine_intf.t =
     describe = "Volcano stand-in: interpreted open/next/close over the row store";
     caps = { Engine_intf.caps_any with needs_flat_sources = true };
     prepare =
-      (fun ?instr cat query ->
+      (fun ?instr cat ~param_types:_ query ->
         (* Interpreted engines generate no code: lowering to the shared
            plan is the whole of their preparation. *)
         (try

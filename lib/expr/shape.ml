@@ -88,8 +88,9 @@ let replace_consts q values =
   if !remaining <> [] then invalid_arg "Shape.replace_consts: too many constants";
   result
 
-let parameterize q =
+let holes q =
   let bindings = ref [] in
+  let params = ref [] in
   let q' =
     (* [map_consts_query] maps constants to constants, so introducing
        [Param] leaves needs its own traversal — kept in the exact same
@@ -102,7 +103,10 @@ let parameterize q =
         incr n;
         bindings := (name, v) :: !bindings;
         Ast.Param name
-      | Ast.Param _ | Ast.Var _ -> e
+      | Ast.Param name ->
+        if not (List.mem name !params) then params := name :: !params;
+        e
+      | Ast.Var _ -> e
       | Ast.Member (e, name) -> Ast.Member (rebuild_expr e, name)
       | Ast.Unop (op, e) -> Ast.Unop (op, rebuild_expr e)
       | Ast.Binop (op, a, b) ->
@@ -157,6 +161,10 @@ let parameterize q =
     in
     rebuild_query q
   in
-  (q', List.rev !bindings)
+  (q', List.rev !bindings, List.rev !params)
+
+let parameterize q =
+  let q', bindings, _ = holes q in
+  (q', bindings)
 
 let compatible a b = String.equal (key a) (key b)

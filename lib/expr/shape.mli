@@ -26,6 +26,12 @@ val parameterize : Ast.query -> Ast.query * (string * Value.t) list
 (** Replaces each constant by a fresh [Param "__c<i>"] and returns the
     bindings — an alternative, fully explicit way to run a cached plan. *)
 
+val holes : Ast.query -> Ast.query * (string * Value.t) list * string list
+(** {!parameterize}, plus the names of the caller's own parameters the
+    query references, each once, in first-occurrence order — every hole
+    of the parameterized query is a constant's binding or one of these,
+    found in the one traversal. *)
+
 val compatible : Ast.query -> Ast.query -> bool
 (** Whether two queries share a shape (identical up to constant values of
     the same type). *)

@@ -6,12 +6,25 @@ let error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
 type tenv = {
   source_type : string -> Vtype.t;
-  param_type : string -> Vtype.t;
+  params : (string, Vtype.t) Hashtbl.t;
 }
 
-let tenv ?(source_type = fun name -> error "unknown source %S" name)
-    ?(param_type = fun name -> error "unknown parameter %S" name) () =
-  { source_type; param_type }
+let tenv ?(source_type = fun name -> error "unknown source %S" name) ?(params = []) () =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun (name, ty) -> Hashtbl.replace tbl name ty) params;
+  { source_type; params = tbl }
+
+(* The one context rule, for a parameter with no binding: it takes the
+   type of the operand it meets — the other side of an operator, the
+   other branch of an [if], or the type a call or a count expects at its
+   position — through a negation. *)
+let rec hole te (e : Ast.expr) =
+  match e with
+  | Ast.Param p when not (Hashtbl.mem te.params p) -> Some p
+  | Ast.Unop (Ast.Neg, e) -> hole te e
+  | _ -> None
+
+let meet te ty e = Option.iter (fun p -> Hashtbl.replace te.params p ty) (hole te e)
 
 let numeric_join a b =
   match (a, b) with
@@ -32,7 +45,10 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
     match Value.type_of v with
     | Some ty -> ty
     | None -> error "constant %s has no inferable type" (Value.to_string v))
-  | Ast.Param p -> te.param_type p
+  | Ast.Param p -> (
+    match Hashtbl.find_opt te.params p with
+    | Some ty -> ty
+    | None -> error "parameter %S has no binding and meets no typed operand" p)
   | Ast.Var v -> (
     match List.assoc_opt v env with
     | Some ty -> ty
@@ -51,9 +67,11 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
     | Vtype.Bool -> Vtype.Bool
     | ty -> error "logical not of non-boolean %a" Vtype.pp ty)
   | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod), a, b) ->
-    numeric_join (expr_type te ~env a) (expr_type te ~env b)
+    let ta, tb = operands te ~env a b in
+    numeric_join ta tb
   | Ast.Binop ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), a, b) ->
-    comparable (expr_type te ~env a) (expr_type te ~env b);
+    let ta, tb = operands te ~env a b in
+    comparable ta tb;
     Vtype.Bool
   | Ast.Binop ((Ast.And | Ast.Or), a, b) -> (
     match (expr_type te ~env a, expr_type te ~env b) with
@@ -62,8 +80,9 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
   | Ast.If (c, t, e) -> (
     match expr_type te ~env c with
     | Vtype.Bool ->
-      let tt = expr_type te ~env t and et = expr_type te ~env e in
+      let tt, et = operands te ~env t e in
       if Vtype.equal tt et then tt
+      else if Vtype.is_numeric tt && Vtype.is_numeric et then numeric_join tt et
       else error "if branches have types %a and %a" Vtype.pp tt Vtype.pp et
     | ty -> error "if condition has type %a" Vtype.pp ty)
   | Ast.Call (f, args) -> call_type te ~env f args
@@ -100,49 +119,44 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
   | Ast.Record_of fields ->
     Vtype.Record (List.map (fun (n, e) -> (n, expr_type te ~env e)) fields)
 
+(* Two operands met side by side: a parameter with no binding is typed
+   from the other one. *)
+and operands te ~env a b =
+  if Option.is_some (hole te a) then begin
+    let tb = expr_type te ~env b in
+    meet te tb a;
+    (expr_type te ~env a, tb)
+  end
+  else begin
+    let ta = expr_type te ~env a in
+    meet te ta b;
+    (ta, expr_type te ~env b)
+  end
+
 and call_type te ~env (f : Ast.func) args =
-  let tys = List.map (expr_type te ~env) args in
-  let expect name expected =
-    if
-      List.length tys <> List.length expected
-      || not (List.for_all2 Vtype.equal tys expected)
-    then
+  let expect name expected result =
+    if List.length args = List.length expected then List.iter2 (meet te) expected args;
+    let tys = List.map (expr_type te ~env) args in
+    if not (List.equal Vtype.equal tys expected) then
       error "%s expects (%s), got (%s)" name
         (String.concat ", " (List.map Vtype.to_string expected))
-        (String.concat ", " (List.map Vtype.to_string tys))
+        (String.concat ", " (List.map Vtype.to_string tys));
+    result
   in
   match f with
-  | Ast.Starts_with ->
-    expect "StartsWith" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Ends_with ->
-    expect "EndsWith" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Contains ->
-    expect "Contains" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Like ->
-    expect "Like" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Lower ->
-    expect "Lower" [ Vtype.String ];
-    Vtype.String
-  | Ast.Upper ->
-    expect "Upper" [ Vtype.String ];
-    Vtype.String
-  | Ast.Length ->
-    expect "Length" [ Vtype.String ];
-    Vtype.Int
+  | Ast.Starts_with -> expect "StartsWith" [ Vtype.String; Vtype.String ] Vtype.Bool
+  | Ast.Ends_with -> expect "EndsWith" [ Vtype.String; Vtype.String ] Vtype.Bool
+  | Ast.Contains -> expect "Contains" [ Vtype.String; Vtype.String ] Vtype.Bool
+  | Ast.Like -> expect "Like" [ Vtype.String; Vtype.String ] Vtype.Bool
+  | Ast.Lower -> expect "Lower" [ Vtype.String ] Vtype.String
+  | Ast.Upper -> expect "Upper" [ Vtype.String ] Vtype.String
+  | Ast.Length -> expect "Length" [ Vtype.String ] Vtype.Int
   | Ast.Abs -> (
-    match tys with
-    | [ (Vtype.Int | Vtype.Float) ] -> List.hd tys
+    match List.map (expr_type te ~env) args with
+    | [ (Vtype.Int | Vtype.Float) as ty ] -> ty
     | _ -> error "Abs expects one numeric argument")
-  | Ast.Year ->
-    expect "Year" [ Vtype.Date ];
-    Vtype.Int
-  | Ast.Add_days ->
-    expect "AddDays" [ Vtype.Date; Vtype.Int ];
-    Vtype.Date
+  | Ast.Year -> expect "Year" [ Vtype.Date ] Vtype.Int
+  | Ast.Add_days -> expect "AddDays" [ Vtype.Date; Vtype.Int ] Vtype.Date
 
 and apply_type te ~env (l : Ast.lambda) arg_tys =
   if List.length l.params <> List.length arg_tys then
@@ -188,6 +202,7 @@ and query_type te ~env (q : Ast.query) : Vtype.t =
       keys;
     elem
   | Ast.Take (src, n) | Ast.Skip (src, n) -> (
+    meet te Vtype.Int n;
     match expr_type te ~env n with
     | Vtype.Int -> query_type te ~env src
     | ty -> error "Take/Skip count has type %a" Vtype.pp ty)
@@ -195,6 +210,10 @@ and query_type te ~env (q : Ast.query) : Vtype.t =
 
 let expr_type te ~env e = expr_type te ~env e
 let query_type te ~env q = query_type te ~env q
+
+let param_types te q =
+  (try ignore (query_type te ~env:[] q) with Type_error _ -> ());
+  Hashtbl.fold (fun name ty acc -> (name, ty) :: acc) te.params []
 
 let element_schema te q =
   match query_type te ~env:[] q with

@@ -41,30 +41,6 @@ let strip_plan (p : Plan.t) : Ast.query * staged_spec list =
   let stripped = go p in
   (Plan.to_ast stripped, List.rev !specs)
 
-let strip_filters (q : Ast.query) =
-  let specs = ref [] in
-  let counter = ref 0 in
-  (* Peels Where chains down to a source; returns the replacement. Only
-     query structure is walked — predicates (and any sub-queries inside
-     them) move wholesale to the managed side or stay in lambdas. *)
-  let rec peel preds (q : Ast.query) : Ast.query option =
-    match q with
-    | Ast.Source name ->
-      incr counter;
-      let occ = Printf.sprintf "%s#%d" name !counter in
-      specs := { occ; source = name; preds } :: !specs;
-      Some (Ast.Source occ)
-    | Ast.Where (src, pred) -> peel (preds @ [ pred ]) src
-    | _ -> None
-  in
-  let rec go (q : Ast.query) : Ast.query =
-    match peel [] q with
-    | Some replaced -> replaced
-    | None -> Ast.map_query_children go q
-  in
-  let q' = go q in
-  (q', List.rev !specs)
-
 (* Producer-tracking walk shared by the path analyses: [on_elem_lambda]
    fires for every lambda parameter that binds elements of [occ]. Returns
    whether the query's own elements are occ's elements. *)

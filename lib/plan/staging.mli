@@ -29,12 +29,6 @@ val strip_plan : Plan.t -> Ast.query * staged_spec list
     managed-side predicates. Returns the offloaded remainder (sources
     renamed to occurrences) and the staged-input specs in scan order. *)
 
-val strip_filters : Ast.query -> Ast.query * staged_spec list
-(** AST-level equivalent of {!strip_plan}: removes [Where] chains sitting
-    directly on sources and renames each source occurrence; sub-queries
-    inside predicates are left untouched (they are evaluated
-    managed-side). *)
-
 val used_paths : Ast.query -> occ:string -> string list list
 (** Member paths of occurrence [occ]'s elements that the (already
     stripped) query dereferences — the implicit projection. The empty path

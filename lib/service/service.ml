@@ -160,7 +160,10 @@ let process t ((req, fut) : job) =
       match !front with
       | Some f -> f
       | None ->
-        let f = Provider.front_end t.provider ~checkpoint req.Request.query in
+        let f =
+          Provider.front_end t.provider ~params:req.Request.params ~checkpoint
+            req.Request.query
+        in
         if f.Provider.notes <> [] then Svc_metrics.note_decorrelated t.metrics;
         front := Some f;
         f

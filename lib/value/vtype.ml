@@ -16,21 +16,17 @@ let rec equal a b =
   | List a, List b -> equal a b
   | (Bool | Int | Float | String | Date | Record _ | List _), _ -> false
 
-let rec pp fmt = function
-  | Bool -> Format.pp_print_string fmt "bool"
-  | Int -> Format.pp_print_string fmt "int"
-  | Float -> Format.pp_print_string fmt "float"
-  | String -> Format.pp_print_string fmt "string"
-  | Date -> Format.pp_print_string fmt "date"
+let rec to_string = function
+  | Bool -> "bool"
+  | Int -> "int"
+  | Float -> "float"
+  | String -> "string"
+  | Date -> "date"
   | Record fields ->
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-         (fun fmt (n, t) -> Format.fprintf fmt "%s: %a" n pp t))
-      fields
-  | List t -> Format.fprintf fmt "list<%a>" pp t
+    "{" ^ String.concat "; " (List.map (fun (n, t) -> n ^ ": " ^ to_string t) fields) ^ "}"
+  | List t -> "list<" ^ to_string t ^ ">"
 
-let to_string t = Format.asprintf "%a" pp t
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let field ty name =
   match ty with

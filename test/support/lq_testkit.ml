@@ -365,6 +365,16 @@ let engine_agrees_with_reference ?(params = []) ?provider cat
   | got -> if rows_close expected got then `Agree else `Disagree (expected, got)
   | exception Lq_catalog.Engine_intf.Unsupported _ -> `Unsupported
 
+(* The parameter typing of [q] as a plan-cache miss types it: from
+   [params]' bindings, and the rest by the type checker's context rule. *)
+let param_types ?(params = []) cat q =
+  let prov = Lq_core.Provider.create ~use_cache:false cat in
+  Lq_core.Provider.param_types prov (Lq_core.Provider.front_end prov ~params q)
+
+(* An engine's plan prepared outside the provider. *)
+let prepare ?instr ?params cat (engine : Lq_catalog.Engine_intf.t) q =
+  engine.prepare ?instr cat ~param_types:(param_types ?params cat q) q
+
 let qtest ?print ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ?print ~name ~count gen prop)

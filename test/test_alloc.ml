@@ -44,9 +44,11 @@ let words_per_result_row = 32.0
 (* The plan a request runs: prepared from the provider's parameterized
    front end, its constants bound as registers at execute. *)
 let guard name query () =
-  let front = Lq_core.Provider.front_end prov query in
+  let front = Lq_core.Provider.front_end prov ~params query in
   let prepared =
-    Lq_core.Engines.compiled_c.Engine_intf.prepare cat front.Lq_core.Provider.parameterized
+    Lq_core.Engines.compiled_c.Engine_intf.prepare cat
+      ~param_types:(Lq_core.Provider.param_types prov front)
+      front.Lq_core.Provider.parameterized
   in
   let w, rows = per_execution prepared ~params:(front.Lq_core.Provider.bindings @ params) ~reps:5 in
   Printf.printf "%s %.1f words, %d rows\n" name w rows;

@@ -183,7 +183,7 @@ let test_parameterize () =
 let tenv =
   Typecheck.tenv
     ~source_type:(fun _ -> Vtype.Record [ ("k", Vtype.Int); ("s", Vtype.String) ])
-    ~param_type:(fun _ -> Vtype.Int)
+    ~params:[ ("n", Vtype.Int) ]
     ()
 
 let test_typecheck_ok () =

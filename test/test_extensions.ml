@@ -105,6 +105,22 @@ let test_index_errors () =
   check_int "idempotent" 1
     (List.length (Lq_catalog.Catalog.indexed_columns (Lq_catalog.Catalog.table cat "sales")))
 
+(* A write keeps the table's declared indexes, rebuilt over the new rows:
+   a plan prepared after it still probes, and answers from the new rows. *)
+let test_index_survives_replace () =
+  let cat = Lq_testkit.sales_catalog ~n:500 () in
+  Lq_catalog.Catalog.create_index cat ~table:"sales" ~column:"city";
+  let prov = Provider.create cat in
+  let engine = Lq_core.Engines.compiled_c in
+  let q = source "sales" |> where "s" (v "s" $. "city" =: str "Paris") in
+  ignore (Provider.run prov ~engine q);
+  Lq_catalog.Catalog.replace cat ~name:"sales" ~schema:Lq_testkit.sales_schema
+    (Lq_testkit.sales_rows ~n:300 ~seed:99 ());
+  let table = Lq_catalog.Catalog.table cat "sales" in
+  check_bool "index kept" true (Lq_catalog.Catalog.index table "city" <> None);
+  check_bool "indexed-equality rows after the write" true
+    (Lq_testkit.rows_equal (Provider.reference prov q) (Provider.run prov ~engine q))
+
 (* --- parallel execution --- *)
 
 let parallel4 = Lq_parallel.Parallel_engine.engine_with ~domains:4
@@ -241,6 +257,7 @@ let () =
         [
           Alcotest.test_case "point lookups" `Quick test_index_point_lookup;
           Alcotest.test_case "errors" `Quick test_index_errors;
+          Alcotest.test_case "kept across replace" `Quick test_index_survives_replace;
         ] );
       ( "parallel",
         [

@@ -205,14 +205,16 @@ let required =
 (* The IR the closure tier compiles: the parameterized query (constants
    become registers) as every engine sees it through the provider, and
    the optimized query prepared directly (constants stay literals). *)
-let lowered q = L.lower cat (Lq_plan.Lower.lower cat q)
+let lowered front q =
+  L.lower cat ~params:(Provider.param_types prov front) (Lq_plan.Lower.lower cat q)
 
 let test_coverage () =
   let seen =
     List.concat_map
       (fun (_, q) ->
-        let front = Provider.front_end prov q in
-        ir_tags (lowered front.Provider.parameterized) @ ir_tags (lowered front.Provider.optimized))
+        let front = Provider.front_end prov ~params q in
+        ir_tags (lowered front front.Provider.parameterized)
+        @ ir_tags (lowered front front.Provider.optimized))
       corpus
   in
   List.iter
@@ -281,8 +283,12 @@ let test_literals () =
   List.iter
     (fun (qname, q) ->
       let expected = reference qname in
-      let front = Provider.front_end prov q in
-      let prepared = Engines.compiled_c.Engine_intf.prepare cat front.Provider.optimized in
+      let front = Provider.front_end prov ~params q in
+      let prepared =
+        Engines.compiled_c.Engine_intf.prepare cat
+          ~param_types:(Provider.param_types prov front)
+          front.Provider.optimized
+      in
       check (qname ^ " with literals") expected (prepared.Engine_intf.execute ~params ()))
     corpus
 

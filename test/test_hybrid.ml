@@ -15,6 +15,10 @@ let prov = Lq_core.Provider.create cat
 
 (* --- split analysis --- *)
 
+(* The split the engine makes: from the shared lowering of the query. *)
+let nested = Lq_testkit.nested_catalog ()
+let split cat q = Split.strip_plan (Lq_plan.Lower.lower cat q)
+
 let test_strip_filters () =
   let q =
     source "sales"
@@ -22,7 +26,7 @@ let test_strip_filters () =
     |> where "b" (v "b" $. "qty" >: int 3)
     |> select "s" (v "s" $. "id")
   in
-  let stripped, specs = Split.strip_filters q in
+  let stripped, specs = split cat q in
   check_int "one source" 1 (List.length specs);
   let spec = List.hd specs in
   check_int "both filters move to managed" 2 (List.length spec.Split.preds);
@@ -40,18 +44,18 @@ let test_strip_filters_self_join () =
       (source "sales" |> where "x" (v "x" $. "vip"))
       (source "sales")
   in
-  let _, specs = Split.strip_filters q in
+  let _, specs = split cat q in
   check_int "two occurrences of one table" 2 (List.length specs);
   check_bool "distinct occurrence names" true
     (match specs with [ a; b ] -> a.Split.occ <> b.Split.occ | _ -> false)
 
 let test_used_paths () =
   let q =
-    source "o"
+    source "orders"
     |> where "w" (v "w" $. "shop" $. "city" =: str "London")
     |> select "s" (record [ ("p", v "s" $. "item" $. "price") ])
   in
-  let stripped, specs = Split.strip_filters q in
+  let stripped, specs = split nested q in
   let occ = (List.hd specs).Split.occ in
   (* only the paths of the *offloaded* part count (the filter runs
      managed) *)
@@ -66,13 +70,13 @@ let test_used_paths_group_and_sort () =
     |> group_by ~key:("k", v "k" $. "city")
          ~result:("g", record [ ("c", v "g" $. "Key"); ("t", sum (v "g") "e" (v "e" $. "qty")) ])
   in
-  let stripped, specs = Split.strip_filters q in
+  let stripped, specs = split cat q in
   Alcotest.(check (list (list string)))
     "key + aggregate selector paths"
     [ [ "city" ]; [ "qty" ] ]
     (Split.used_paths stripped ~occ:(List.hd specs).Split.occ);
   let q2 = source "sales" |> order_by [ ("s", v "s" $. "price", desc) ] |> take 3 in
-  let stripped2, specs2 = Split.strip_filters q2 in
+  let stripped2, specs2 = split cat q2 in
   check_bool "sort result needs whole elements" true
     (List.mem [] (Split.used_paths stripped2 ~occ:(List.hd specs2).Split.occ));
   check_bool "result_is_occ_elements" true
@@ -80,9 +84,9 @@ let test_used_paths_group_and_sort () =
 
 let test_rewrite_paths () =
   let q =
-    source "o" |> select "s" (record [ ("p", v "s" $. "item" $. "price") ])
+    source "orders" |> select "s" (record [ ("p", v "s" $. "item" $. "price") ])
   in
-  let stripped, specs = Split.strip_filters q in
+  let stripped, specs = split nested q in
   let rewritten =
     Split.rewrite_paths stripped ~occ:(List.hd specs).Split.occ
       ~rename:(String.concat "_")

@@ -104,7 +104,7 @@ let test_cache_hits () =
     let params = Lq_tpch.Queries.default_params in
     let q = Lq_tpch.Queries.q1 in
     let run () =
-      let p = jit.Engine_intf.prepare cat q in
+      let p = Lq_testkit.prepare cat jit q in
       p.Engine_intf.execute ~params ()
     in
     let compiles0 = count "service/jit/compiles" in
@@ -149,7 +149,7 @@ let test_compile_on_recurrence () =
     let expected = Lq_core.Provider.reference prov ~params q in
     let queued () = count "service/jit/queued" in
     let queued0 = queued () in
-    let prepared = jit.Engine_intf.prepare cat q in
+    let prepared = Lq_testkit.prepare cat jit q in
     let run () =
       check_bool "rows = reference" true
         (rows_equal expected (prepared.Engine_intf.execute ~params ()))
@@ -177,7 +177,7 @@ let test_hot_swap_storm () =
     let expected = Lq_core.Provider.reference prov ~params q in
     let queued0 = count "service/jit/queued" in
     let artifacts0 = artifacts () in
-    let prepared = jit.Engine_intf.prepare cat q in
+    let prepared = Lq_testkit.prepare cat jit q in
     let bad = Atomic.make 0 in
     let execs_per_domain = 60 in
     let worker () =
@@ -224,7 +224,7 @@ let test_chaos_sync_typed_failure () =
     | Error msg -> Alcotest.fail msg);
     Fun.protect ~finally:Lq_fault.Inject.disable (fun () ->
       let cat = oracle_cat () in
-      match jit.Engine_intf.prepare cat Lq_tpch.Queries.q1 with
+      match Lq_testkit.prepare cat jit Lq_tpch.Queries.q1 with
       | _ -> Alcotest.fail "prepare succeeded under a 100% jit/compile fault"
       | exception Lq_fault.Fault f ->
         check_bool "typed codegen fault" true (f.Lq_fault.kind = Lq_fault.Codegen_error)))
@@ -272,7 +272,7 @@ let test_chaos_async_degrades_interpreted () =
       let q = Lq_tpch.Queries.q1 in
       let expected = Lq_core.Provider.reference prov ~params q in
       let fails0 = count "service/jit/compile_failures" in
-      let prepared = jit.Engine_intf.prepare cat q in
+      let prepared = Lq_testkit.prepare cat jit q in
       (* The second execution queues the compile. Wait for it to hit the
          injected fault, then confirm every execution still answers —
          interpreted. *)
@@ -301,7 +301,7 @@ let test_jit_off () =
     let compiles0 = count "service/jit/compiles" in
     let interp0 = count "service/jit/exec_interpreted" in
     let expected = Lq_core.Provider.reference prov ~params q in
-    let prepared = jit.Engine_intf.prepare cat q in
+    let prepared = Lq_testkit.prepare cat jit q in
     let rows = prepared.Engine_intf.execute ~params () in
     check_bool "LQ_JIT=off still answers (interpreted)" true (rows_equal expected rows);
     check_int "LQ_JIT=off never compiles" compiles0 (count "service/jit/compiles");
@@ -314,7 +314,7 @@ let test_disk_cache_eviction () =
   with_env [ ("LQ_JIT_MODE", "sync"); ("LQ_JIT", "on") ] (fun () ->
     let dir = fresh_cache_dir () in
     let cat = oracle_cat () in
-    let prepare q = ignore (jit.Engine_intf.prepare cat q) in
+    let prepare q = ignore (Lq_testkit.prepare cat jit q) in
     prepare Lq_tpch.Queries.q1;
     let sos () =
       Sys.readdir dir |> Array.to_list
@@ -360,7 +360,7 @@ let test_validation_promotes () =
     let v0 = count "service/jit/validations" in
     let p0 = count "service/jit/validations_passed" in
     let jit0 = count "service/jit/exec_jit" in
-    let prepared = jit.Engine_intf.prepare cat q in
+    let prepared = Lq_testkit.prepare cat jit q in
     let rows = prepared.Engine_intf.execute ~params () in
     check_bool "validated rows = reference" true (rows_equal expected rows);
     check_int "exactly one sandboxed validation" (v0 + 1) (count "service/jit/validations");
@@ -385,7 +385,7 @@ let contained_failure_drill spec =
     let fails0 = count "service/jit/validation_failures" in
     let jit0 = count "service/jit/exec_jit" in
     with_injection spec (fun () ->
-      let prepared = jit.Engine_intf.prepare cat q in
+      let prepared = Lq_testkit.prepare cat jit q in
       let rows = prepared.Engine_intf.execute ~params () in
       check_bool "request completed with reference rows" true (rows_equal expected rows);
       check_bool "validation failure recorded" true
@@ -431,7 +431,7 @@ let test_validate_off_promotes_directly () =
       let expected = Lq_core.Provider.reference prov ~params q in
       let v0 = count "service/jit/validations" in
       let jit0 = count "service/jit/exec_jit" in
-      let prepared = jit.Engine_intf.prepare cat q in
+      let prepared = Lq_testkit.prepare cat jit q in
       let rows = prepared.Engine_intf.execute ~params () in
       check_bool "rows = reference" true (rows_equal expected rows);
       check_int "no sandbox run with LQ_JIT_VALIDATE=off" v0 (count "service/jit/validations");
@@ -456,7 +456,7 @@ let test_cc_watchdog () =
           Backend.reset_for_tests ();
           let to0 = count "service/jit/cc_timeouts" in
           let t0 = Unix.gettimeofday () in
-          (match jit.Engine_intf.prepare cat Lq_tpch.Queries.q1 with
+          (match Lq_testkit.prepare cat jit Lq_tpch.Queries.q1 with
           | _ -> Alcotest.fail "prepare succeeded under a hung compiler"
           | exception Lq_fault.Fault f ->
             check_bool "typed Codegen_error" true (f.Lq_fault.kind = Lq_fault.Codegen_error);
@@ -471,7 +471,7 @@ let test_cc_watchdog () =
         let prov = Lq_core.Provider.create cat in
         let params = Lq_tpch.Queries.default_params in
         let expected = Lq_core.Provider.reference prov ~params Lq_tpch.Queries.q1 in
-        let prepared = jit.Engine_intf.prepare cat Lq_tpch.Queries.q1 in
+        let prepared = Lq_testkit.prepare cat jit Lq_tpch.Queries.q1 in
         let rows = prepared.Engine_intf.execute ~params () in
         check_bool "next compile job succeeds after the kill" true (rows_equal expected rows)))
 
@@ -498,7 +498,7 @@ let test_corrupt_cache_detected () =
     let cat = oracle_cat () in
     let params = Lq_tpch.Queries.default_params in
     let run () =
-      let p = jit.Engine_intf.prepare cat Lq_tpch.Queries.q1 in
+      let p = Lq_testkit.prepare cat jit Lq_tpch.Queries.q1 in
       p.Engine_intf.execute ~params ()
     in
     let r1 = run () in
@@ -530,7 +530,7 @@ let test_chaos_cache_corruption () =
     let cat = oracle_cat () in
     let params = Lq_tpch.Queries.default_params in
     let run () =
-      let p = jit.Engine_intf.prepare cat Lq_tpch.Queries.q1 in
+      let p = Lq_testkit.prepare cat jit Lq_tpch.Queries.q1 in
       p.Engine_intf.execute ~params ()
     in
     let r1 = run () in
@@ -653,7 +653,8 @@ let test_div_by_zero_typed () =
 let test_c_coverage () =
   let cat = Lq_tpch.Dbgen.load ~sf:0.001 () in
   let emits q =
-    match Lq_native.Codegen_c.emit_plan (Lq_native.Loop.lower cat (Lq_plan.Lower.lower cat q)) with
+    let params = Lq_testkit.param_types ~params:Lq_tpch.Queries.extended_params cat q in
+    match Lq_native.Codegen_c.emit_plan (Lq_native.Loop.lower cat ~params (Lq_plan.Lower.lower cat q)) with
     | _ -> Ok ()
     | exception Lq_native.Codegen_c.Unsupported_c msg -> Error msg
   in

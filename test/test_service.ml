@@ -190,7 +190,7 @@ let always_unsupported =
        as a prepare-time exception, not a capability miss. *)
     caps = Lq_catalog.Engine_intf.caps_any;
     prepare =
-      (fun ?instr _ _ ->
+      (fun ?instr _ ~param_types:_ _ ->
         ignore instr;
         raise (Lq_catalog.Engine_intf.Unsupported "refused by construction"));
   }
@@ -225,7 +225,7 @@ let capability_walled =
     Lq_catalog.Engine_intf.name = "capability-walled";
     describe = "test engine every plan exceeds";
     caps = { Lq_catalog.Engine_intf.caps_any with max_sources = Some 0 };
-    prepare = (fun ?instr _ _ ->
+    prepare = (fun ?instr _ ~param_types:_ _ ->
         ignore instr;
         failwith "codegen was paid despite the capability verdict");
   }
@@ -565,10 +565,10 @@ let flaky_engine ~failures =
     describe = "transiently failing test engine";
     caps = base.Lq_catalog.Engine_intf.caps;
     prepare =
-      (fun ?instr plan ctx ->
+      (fun ?instr plan ~param_types ctx ->
         if Atomic.fetch_and_add remaining (-1) > 0 then
           Lq_fault.error ~stage:"prepare" Lq_fault.Transient "flaky prepare"
-        else base.Lq_catalog.Engine_intf.prepare ?instr plan ctx);
+        else base.Lq_catalog.Engine_intf.prepare ?instr plan ~param_types ctx);
   }
 
 let always_internal =
@@ -577,7 +577,7 @@ let always_internal =
     describe = "test engine that always blows up";
     caps = Lq_catalog.Engine_intf.caps_any;
     prepare =
-      (fun ?instr _ _ ->
+      (fun ?instr _ ~param_types:_ _ ->
         ignore instr;
         Lq_fault.error ~stage:"prepare" Lq_fault.Internal "boom by construction");
   }

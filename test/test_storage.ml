@@ -380,82 +380,6 @@ let prop_encoded_differential =
       | `Agree | `Unsupported -> true
       | `Disagree _ -> false)
 
-(* --- pagelist --- *)
-
-let test_pagelist_staged () =
-  let pl = Pagelist.create_staged ~page_bytes:64 ~row_width:16 () in
-  check_int "rows per page" 4 (Pagelist.rows_per_page pl);
-  for i = 0 to 9 do
-    let slot = Pagelist.alloc pl in
-    Fbuf.set_i64 slot.Pagelist.page slot.Pagelist.off i
-  done;
-  check_int "total" 10 (Pagelist.total_rows pl);
-  check_int "available" 10 (Pagelist.rows_available pl);
-  check_int "three pages" (3 * 64) (Pagelist.memory_footprint pl);
-  let seen = ref [] in
-  Pagelist.iter pl (fun slot -> seen := Fbuf.get_i64 slot.Pagelist.page slot.Pagelist.off :: !seen);
-  Alcotest.(check (list int)) "write order" (List.init 10 Fun.id) (List.rev !seen)
-
-let test_pagelist_buffered () =
-  let flushes = ref [] in
-  let pl =
-    (* Recursive knot: on_full reads the pagelist being constructed. *)
-    let cell = ref None in
-    let pl =
-      Pagelist.create_buffered ~page_bytes:64 ~row_width:16
-        ~on_full:(fun pl -> flushes := Pagelist.rows_available pl :: !flushes)
-        ()
-    in
-    cell := Some pl;
-    pl
-  in
-  for i = 0 to 9 do
-    let slot = Pagelist.alloc pl in
-    Fbuf.set_i64 slot.Pagelist.page slot.Pagelist.off i
-  done;
-  Pagelist.flush pl;
-  (* 10 rows, 4 per page: full flushes at 4 and 8, final partial of 2 *)
-  Alcotest.(check (list int)) "flush sizes" [ 4; 4; 2 ] (List.rev !flushes);
-  check_int "constant footprint" 64 (Pagelist.memory_footprint pl);
-  check_int "total" 10 (Pagelist.total_rows pl)
-
-let test_pagelist_errors () =
-  Alcotest.check_raises "row wider than page"
-    (Invalid_argument "Pagelist: row wider than a page") (fun () ->
-      ignore (Pagelist.create_staged ~page_bytes:8 ~row_width:16 ()))
-
-let test_pagelist_governor_budget () =
-  (* without an ambient budget, staging is uncharged *)
-  let pl = Pagelist.create_staged ~page_bytes:64 ~row_width:16 () in
-  for _ = 1 to 20 do
-    ignore (Pagelist.alloc pl)
-  done;
-  check_int "unbudgeted staging unrestricted" 20 (Pagelist.total_rows pl);
-  (* a row budget trips mid-staging with a typed Resource_exhausted *)
-  let budget = { Lq_fault.Governor.max_rows = Some 6; max_bytes = None } in
-  (match
-     Lq_fault.Governor.with_budget budget (fun () ->
-         let pl = Pagelist.create_staged ~page_bytes:64 ~row_width:16 () in
-         for _ = 1 to 10 do
-           ignore (Pagelist.alloc pl)
-         done)
-   with
-  | () -> Alcotest.fail "row budget should have tripped"
-  | exception Lq_fault.Fault f ->
-    check_bool "typed Resource_exhausted" true
-      (f.Lq_fault.kind = Lq_fault.Resource_exhausted);
-    check_str "charged at the staging stage" "staging" f.Lq_fault.stage);
-  (* a byte budget trips on page allocation, before any row fits *)
-  let budget = { Lq_fault.Governor.max_rows = None; max_bytes = Some 63 } in
-  match
-    Lq_fault.Governor.with_budget budget (fun () ->
-        ignore (Pagelist.alloc (Pagelist.create_staged ~page_bytes:64 ~row_width:16 ())))
-  with
-  | () -> Alcotest.fail "byte budget should have tripped"
-  | exception Lq_fault.Fault f ->
-    check_bool "typed Resource_exhausted" true
-      (f.Lq_fault.kind = Lq_fault.Resource_exhausted)
-
 (* Four Domains intern the same fresh strings, each in its own order,
    while a base of older strings is read: every string must get exactly
    one code, and every code must decode back to its string. *)
@@ -592,13 +516,6 @@ let () =
         [
           Alcotest.test_case "fixture encodings" `Quick test_enc_fixture_encodings;
           prop_encoded_differential;
-        ] );
-      ( "pagelist",
-        [
-          Alcotest.test_case "staged" `Quick test_pagelist_staged;
-          Alcotest.test_case "buffered" `Quick test_pagelist_buffered;
-          Alcotest.test_case "errors" `Quick test_pagelist_errors;
-          Alcotest.test_case "governor budget" `Quick test_pagelist_governor_budget;
         ] );
       ( "mapping",
         [

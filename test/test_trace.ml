@@ -446,7 +446,7 @@ let test_fallback_hop_spans () =
       describe = "refuses everything";
       caps = Lq_catalog.Engine_intf.caps_any;
       prepare =
-        (fun ?instr _ _ ->
+        (fun ?instr _ ~param_types:_ _ ->
           ignore instr;
           raise (Lq_catalog.Engine_intf.Unsupported "refused by construction"));
     }
@@ -482,10 +482,10 @@ let flaky_engine ~failures =
     describe = "transiently failing test engine";
     caps = base.Lq_catalog.Engine_intf.caps;
     prepare =
-      (fun ?instr plan ctx ->
+      (fun ?instr plan ~param_types ctx ->
         if Atomic.fetch_and_add remaining (-1) > 0 then
           Lq_fault.error ~stage:"prepare" Lq_fault.Transient "flaky prepare"
-        else base.Lq_catalog.Engine_intf.prepare ?instr plan ctx);
+        else base.Lq_catalog.Engine_intf.prepare ?instr plan ~param_types ctx);
   }
 
 let test_retry_spans_match_counter () =
