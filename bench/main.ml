@@ -352,7 +352,7 @@ let micro () =
                ] )
   in
   ignore q1;
-  let open Lq_compiled.Options in
+  let open Lq_plan.Options in
   let variants =
     [
       ( "per-aggregate passes (naive)",
@@ -502,9 +502,8 @@ let codegen () =
   Printf.printf "%-6s %-22s %12s %10s\n" "query" "engine" "codegen[ms]" "source[B]";
   List.iter
     (fun (qname, q) ->
-      (* The shared lowering runs once per plan-build in every engine; its
-         cost is printed on its own line so regressions of the plan layer
-         are visible separately from backend codegen. *)
+      (* The shared lowering runs once per request, in the front end; its
+         cost is printed apart from each engine's prepare. *)
       let optimized = Provider.optimized prov q in
       let t0 = Lq_metrics.Profile.now_ms () in
       ignore (Lq_plan.Lower.lower cat optimized);

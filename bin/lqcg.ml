@@ -110,16 +110,19 @@ let run_cmd =
     with
     | exception Engine_intf.Unsupported msg -> Printf.printf "unsupported: %s\n" msg
     | rows ->
-      (* Words allocated on this Domain by the warm run: minor, and major
+      (* Words allocated on this Domain by the warm run: minor (exact,
+         where [Gc.counters] lags to the last minor collection), and major
          words allocated directly (not promoted from the minor heap). *)
-      let minor0, promoted0, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
+      let _, promoted0, major0 = Gc.counters () in
       let t0 = Lq_metrics.Profile.now_ms () in
       let rows2 =
         Lq_core.Provider.run provider ~engine ~params:Lq_tpch.Queries.extended_params
           query
       in
       let ms = Lq_metrics.Profile.now_ms () -. t0 in
-      let minor1, promoted1, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () in
+      let _, promoted1, major1 = Gc.counters () in
       ignore rows;
       Printf.printf "%d rows in %.1f ms (warm plan)\n" (List.length rows2) ms;
       Printf.printf "alloc: %.0f minor + %.0f direct-major words per execution (warm plan)\n"

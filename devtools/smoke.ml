@@ -40,15 +40,16 @@ let () =
   in
   List.iter (fun (name, q, params) ->
     let param_types = param_types params in
+    let plan = Lq_plan.Lower.lower cat q in
     let expected = Lq_expr.Eval.query (Lq_catalog.Catalog.eval_ctx cat ~params) ~env:[] q in
-    let lo = (Lq_linqobj.Linq_objects.engine.prepare cat ~param_types q).execute ~params () in
+    let lo = (Lq_linqobj.Linq_objects.engine.prepare cat ~param_types plan).execute ~params () in
     check (name ^ "/linqobj") expected lo;
-    let cs = ((Lq_compiled.Csharp_engine.engine).prepare cat ~param_types q).execute ~params () in
+    let cs = ((Lq_compiled.Csharp_engine.engine).prepare cat ~param_types plan).execute ~params () in
     check (name ^ "/csharp") expected cs;
-    let naive = (Lq_compiled.Csharp_engine.engine_with Lq_compiled.Options.naive).prepare cat ~param_types q in
+    let naive = (Lq_compiled.Csharp_engine.engine_with Lq_plan.Options.naive).prepare cat ~param_types plan in
     check (name ^ "/csharp-naive") expected (naive.execute ~params ());
     (try
-       let prepared = (Lq_native.Native_engine.engine).prepare cat ~param_types q in
+       let prepared = (Lq_native.Native_engine.engine).prepare cat ~param_types plan in
        let nv = prepared.execute ~params () in
        check (name ^ "/native") expected nv;
        check (name ^ "/native-rerun") expected (prepared.execute ~params ())
@@ -56,7 +57,7 @@ let () =
        Printf.printf "native skipped %s: %s\n" name msg);
     List.iter (fun (vname, eng) ->
       try
-        let prepared = (eng : Lq_catalog.Engine_intf.t).prepare cat ~param_types q in
+        let prepared = (eng : Lq_catalog.Engine_intf.t).prepare cat ~param_types plan in
         let hv = prepared.execute ~params () in
         check (name ^ "/" ^ vname) expected hv;
         check (name ^ "/" ^ vname ^ "-rerun") expected (prepared.execute ~params ())

@@ -27,8 +27,9 @@ dune build @tier1 $FORCE
 
 # EXPLAIN must be total: every query x engine either renders the lowered
 # plan with a "supported" verdict or reports a typed capability miss —
-# a non-zero exit (a crash) fails verification.
-echo "== explain smoke (all queries x all engines) =="
+# a non-zero exit (a crash) fails verification. A "supported" verdict is
+# a promise: `lqcg run` of the same pair (JIT off) must not refuse it.
+echo "== explain smoke (all queries x all engines, verdict = run outcome) =="
 LQCG="_build/default/bin/lqcg.exe"
 # The engine registry is the one engine list: `lqcg engines` prints one
 # engine per line, name first. Names contain '[' and ',', so every loop
@@ -48,7 +49,17 @@ for q in Q1 Q2 Q2corr Q3 Q5 Q6 Q10 Q12 Q14; do
       exit 1
     fi
     case "$out" in
-      *"engine $e: supported"* | *"engine $e: unsupported"*) ;;
+      *"engine $e: supported"*)
+        run_out=$(LQ_JIT=off "$LQCG" run -e "$e" -q "$q" --sf 0.001 2>&1) || true
+        case "$run_out" in
+          *"unsupported:"*)
+            echo "explain said supported but run refused $q on $e:" >&2
+            echo "$run_out" >&2
+            exit 1
+            ;;
+        esac
+        ;;
+      *"engine $e: unsupported"*) ;;
       *)
         echo "explain gave no verdict for $q on $e:" >&2
         echo "$out" >&2
@@ -59,7 +70,7 @@ for q in Q1 Q2 Q2corr Q3 Q5 Q6 Q10 Q12 Q14; do
 $ENGINES
 EOF
 done
-echo "   ok: 9 queries x $NENGINES engines, every verdict typed"
+echo "   ok: 9 queries x $NENGINES engines, every verdict typed and kept by run"
 
 # Decorrelation smoke: Q2 as naively written (correlated min sub-query)
 # must run through the decorrelation pass and produce exactly the rows of
@@ -177,9 +188,10 @@ echo "   ok: tiny-morsel runs deterministic, scheduler counters live"
 
 # Allocation smoke: the closure tier keeps floats in a per-plan register
 # file and its hash probes return immediates, so a warm compiled-c Q6 at
-# sf 0.01 (60k lineitem rows) allocates a few hundred words of request
-# set-up, whatever the table size. One boxed float per row would cost
-# 120k words; the budget below is far under that.
+# sf 0.01 (60k lineitem rows) allocates its request set-up (about 10k
+# words, most of it the provider's front end), whatever the table size.
+# One boxed float per row would cost 120k words; the budget below is far
+# under that.
 echo "== compiled-c allocation smoke (warm Q6 at sf 0.01) =="
 ALLOC_BUDGET=16384
 if ! out=$("$LQCG" run -e compiled-c -q Q6 --sf 0.01 2>&1); then

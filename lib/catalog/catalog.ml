@@ -23,8 +23,9 @@ type t = {
   tables : (string, table) Hashtbl.t;
   dict : Lq_storage.Dict.t;
   heap : Lq_cachesim.Heap_model.t;
-  mutable listeners : (string -> unit) list;
-      (** invalidation hooks, called with the table name on mutation *)
+  listeners : (string -> unit) ref list Atomic.t;
+      (** invalidation hooks, called with the table name on mutation; each
+          cell is one registration's identity *)
 }
 
 let create () =
@@ -32,11 +33,20 @@ let create () =
     tables = Hashtbl.create 16;
     dict = Lq_storage.Dict.create ();
     heap = Lq_cachesim.Heap_model.create ();
-    listeners = [];
+    listeners = Atomic.make [];
   }
 
-let on_invalidate t f = t.listeners <- f :: t.listeners
-let notify_invalidate t name = List.iter (fun f -> f name) t.listeners
+(* Compare-and-set, so concurrent (un)subscribers never lose a hook. *)
+let on_invalidate t hook =
+  let rec update f =
+    let old = Atomic.get t.listeners in
+    if not (Atomic.compare_and_set t.listeners old (f old)) then update f
+  in
+  let cell = ref hook in
+  update (fun hooks -> cell :: hooks);
+  fun () -> update (List.filter (fun c -> c != cell))
+
+let notify_invalidate t name = List.iter (fun hook -> !hook name) (Atomic.get t.listeners)
 
 let dict t = t.dict
 
@@ -87,7 +97,6 @@ let table t name =
   | Some table -> table
   | None -> raise (Lq_expr.Eval.Unbound_source name)
 
-let mem t name = Hashtbl.mem t.tables name
 let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort compare
 let schema table = table.schema
 let name table = table.name

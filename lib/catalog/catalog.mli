@@ -47,15 +47,17 @@ val replace : t -> name:string -> schema:Schema.t -> Value.t list -> unit
 val remove : t -> string -> unit
 (** Unregisters a table (no-op when absent) and fires the hooks. *)
 
-val on_invalidate : t -> (string -> unit) -> unit
+val on_invalidate : t -> (string -> unit) -> unit -> unit
 (** Registers a hook called with the table name whenever {!replace} or
-    {!remove} mutates that table. Hooks run synchronously on the mutating
-    thread and must be cheap and exception-free. *)
+    {!remove} mutates that table, and returns the function that removes
+    it. Hooks run synchronously on the mutating thread and must be cheap
+    and exception-free. Domains may subscribe and unsubscribe
+    concurrently. The catalog keeps what a hook captures alive until it
+    is removed. *)
 
 val table : t -> string -> table
 (** @raise Lq_expr.Eval.Unbound_source for unknown names. *)
 
-val mem : t -> string -> bool
 val names : t -> string list
 
 val schema : table -> Schema.t

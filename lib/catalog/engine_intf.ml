@@ -20,6 +20,7 @@ type caps = {
   supports_nested_paths : bool;
   supports_interning : bool;
   max_sources : int option;
+  needs_min_construction : bool;
 }
 
 let caps_any =
@@ -31,6 +32,7 @@ let caps_any =
     supports_nested_paths = true;
     supports_interning = true;
     max_sources = None;
+    needs_min_construction = false;
   }
 
 type t = {
@@ -41,7 +43,7 @@ type t = {
     ?instr:Instr.t ->
     Catalog.t ->
     param_types:(string * Vtype.t) list ->
-    Lq_expr.Ast.query ->
+    Plan_ir.t ->
     prepared;
 }
 

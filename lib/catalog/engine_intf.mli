@@ -2,10 +2,13 @@
 
     Every execution strategy — the LINQ-to-objects baseline, the three
     code-generating backends of §§4–6 and the two DBMS stand-ins — is an
-    {!t}: given a catalog and a canonical query it *prepares* (generates
-    and "compiles" a plan, the analogue of emitting and compiling C#/C
-    source), and the prepared query executes any number of times under
-    different parameter bindings (the cache-reuse story of §3). *)
+    {!t}: given a catalog and the lowered physical plan of a canonical,
+    parameterized query ({!Plan_ir.t}, built once per plan-cache miss by
+    the provider's front end) it *prepares* (generates and "compiles"
+    code, the analogue of emitting and compiling C#/C source), and the
+    prepared query executes any number of times under different parameter
+    bindings (the cache-reuse story of §3). No engine lowers the query
+    again. *)
 
 open Lq_value
 
@@ -38,13 +41,18 @@ type caps = {
   supports_interning : bool;
       (** tolerates string-producing calls ([Lower]/[Upper]) that would
           require cross-Domain interning *)
-  max_sources : int option;  (** bound on distinct scans, when limited *)
+  max_sources : int option;  (** bound on the plan's scans, when limited *)
+  needs_min_construction : bool;
+      (** stages only keys and an index column, and rebuilds results from
+          the source objects: results must be source elements or a plain
+          join of them (the Min variant of §7.4, {!Lq_plan.Plan}'s
+          [min_construction] rule) *)
 }
 (** What an engine's plan builder can compile, declared up front so the
     provider and the service can route around an engine *before* paying
-    code generation (the capability check of the shared plan layer). The
-    declaration is conservative: a capability miss is a guaranteed
-    [Unsupported]; passing the check does not promise success. *)
+    code generation (the capability check of the shared plan layer). A
+    capability miss is a guaranteed [Unsupported]; a plan that passes
+    every declared rule is not refused by [prepare] for those rules. *)
 
 val caps_any : caps
 (** The fully permissive capability set (the interpreted baseline). *)
@@ -57,13 +65,14 @@ type t = {
     ?instr:Instr.t ->
     Catalog.t ->
     param_types:(string * Vtype.t) list ->
-    Lq_expr.Ast.query ->
+    Plan_ir.t ->
     prepared;
-      (** [param_types] types the query's parameters: each bound one as
-          [Value.type_of] its binding, each unbound one by
-          {!Lq_expr.Typecheck}'s context rule. Engines that compile to
-          typed registers read it; the others ignore it. A prepared plan
-          executes under bindings of these types. *)
+      (** Prepares the lowered plan ([Lq_plan.Lower.lower] of the
+          parameterized query). [param_types] types the plan's
+          parameters: each bound one as [Value.type_of] its binding, each
+          unbound one by {!Lq_expr.Typecheck}'s context rule. Engines that
+          compile to typed registers read it; the others ignore it. A
+          prepared plan executes under bindings of these types. *)
 }
 
 val unsupported : ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -27,11 +27,18 @@ let create ?(optimizer = Optimizer.default) ?(use_cache = true)
   let cache = Query_cache.create ?max_entries:query_cache_entries ?admission () in
   (* The catalog tells us which table changed; stale compiled plans and
      recycled results are dropped table-by-table, untouched tables keep
-     their entries. *)
-  Catalog.on_invalidate cat (fun table ->
-      Query_cache.invalidate cache ~table;
-      Option.iter (fun rc -> Result_cache.invalidate rc ~table) results);
-  { cat; cache; results; optimizer; use_cache }
+     their entries. The hook holds the caches, not the provider, so once
+     the provider is unreachable its finaliser removes the hook and the
+     caches go with it. (A weak reference would do the same, but a live
+     ephemeron slows OCaml 5.1's major GC on every Domain.) *)
+  let unsubscribe =
+    Catalog.on_invalidate cat (fun table ->
+        Query_cache.invalidate cache ~table;
+        Option.iter (fun rc -> Result_cache.invalidate rc ~table) results)
+  in
+  let t = { cat; cache; results; optimizer; use_cache } in
+  Gc.finalise (fun _ -> unsubscribe ()) t;
+  t
 
 let catalog t = t.cat
 let cache_stats t = Query_cache.stats t.cache
@@ -53,6 +60,7 @@ type front_end = {
   bindings : (string * Value.t) list;
   hole_types : (string * Vtype.t option) list;
   shape : string;
+  plan : Lq_plan.Plan.t;
   features : Lq_plan.Plan.features;
   notes : string list;
   tables : string list;
@@ -97,14 +105,13 @@ let front_end t ?(params = []) ?(checkpoint = fun _ -> ()) q =
         classified "lower" (fun () -> Lq_plan.Lower.lower t.cat parameterized))
   in
   checkpoint "planned";
-  (* The plan itself is not kept: engines lower the parameterized query
-     again when they compile, and routing needs only its features. *)
   {
     optimized = q;
     parameterized;
     bindings;
     hole_types;
     shape = typed_key (Lq_plan.Plan.shape_key plan) hole_types;
+    plan;
     features = Lq_plan.Plan.features plan;
     notes = Lq_plan.Decorrelate.notes_of_query q;
     tables = Ast.sources_of_query q;
@@ -126,7 +133,8 @@ let param_types t front =
 (* Compiled plans always see parameters where the query had constants, so
    a cached plan can be re-run with new values. The engine's declared
    capabilities are checked against the plan *before* any code generation
-   is paid. *)
+   is paid, and a miss hands the engine the front end's plan: the query is
+   lowered once per request. *)
 let prepare_internal t ~(engine : Engine_intf.t) ?instr ?params ?(checkpoint = fun _ -> ())
     ?front q =
   let front = match front with Some f -> f | None -> front_end t ?params ~checkpoint q in
@@ -141,7 +149,7 @@ let prepare_internal t ~(engine : Engine_intf.t) ?instr ?params ?(checkpoint = f
         Lq_fault.Inject.hit "provider/prepare";
         classified "prepare" (fun () ->
             engine.Engine_intf.prepare ?instr t.cat ~param_types:(param_types t front)
-              front.parameterized))
+              front.plan))
   in
   let prepared, outcome =
     if t.use_cache && instr = None then

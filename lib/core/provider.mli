@@ -73,6 +73,8 @@ type front_end = private {
   shape : string;
       (** the lowered plan's {!Lq_plan.Plan.shape_key}, then
           [hole_types]: the plan-cache and result-cache key *)
+  plan : Lq_plan.Plan.t;
+      (** [parameterized], lowered: what a plan-cache miss prepares from *)
   features : Lq_plan.Plan.features;  (** what the capability check reads *)
   notes : string list;  (** decorrelation notes; [[]] when nothing was rewritten *)
   tables : string list;  (** source tables, for cache invalidation *)

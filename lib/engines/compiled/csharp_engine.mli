@@ -8,6 +8,8 @@
 
 val engine : Lq_catalog.Engine_intf.t
 
-val engine_with : Options.t -> Lq_catalog.Engine_intf.t
+val engine_with : Lq_plan.Options.t -> Lq_catalog.Engine_intf.t
 (** Variant with specific codegen options, for the §2.3 ablations (e.g.
-    aggregation fusion off). The engine name carries the option string. *)
+    aggregation fusion off): it lowers {!Lq_plan.Plan.to_ast} of the plan
+    it is handed again, under [options]. The engine name carries the
+    option string. *)

@@ -48,7 +48,7 @@ type accum = {
   result_ty : Vtype.t option;
 }
 
-let compile ?(options = Options.default) ?instr cat (query : Ast.query) : t =
+let compile ?instr cat (plan : P.t) : t =
   (* Instrumented runs model the managed heap traffic: source pulls touch
      the object header plus the member slots the query reads; every
      constructed result object is a modelled allocation. *)
@@ -210,7 +210,7 @@ let compile ?(options = Options.default) ?instr cat (query : Ast.query) : t =
         | Some instr ->
           let addrs = Catalog.heap_addrs table in
           let slots =
-            Lq_catalog.Access_model.used_source_slots (Catalog.schema table) query
+            Lq_catalog.Access_model.used_source_slots (Catalog.schema table) (P.to_ast plan)
           in
           fun rt sink ->
             let frame = rt.Cexpr.frame in
@@ -619,7 +619,7 @@ let compile ?(options = Options.default) ?instr cat (query : Ast.query) : t =
             (Lq_exec.Topk.to_sorted_list heap));
     }
   in
-  let root = compile_plan (Lq_plan.Lower.lower ~options cat query) in
+  let root = compile_plan plan in
   { ctx; cat; root; eval_ctx_cell; epoch; mu = Mutex.create () }
 
 (* The cache shares one plan with every Domain; executions of the same

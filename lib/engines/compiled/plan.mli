@@ -12,13 +12,9 @@ open Lq_value
 
 type t
 
-val compile :
-  ?options:Options.t ->
-  ?instr:Lq_catalog.Instr.t ->
-  Lq_catalog.Catalog.t ->
-  Lq_expr.Ast.query ->
-  t
-(** Builds the fused plan (the "code generation + compilation" step).
+val compile : ?instr:Lq_catalog.Instr.t -> Lq_catalog.Catalog.t -> Lq_plan.Plan.t -> t
+(** Builds the fused plan (the "code generation + compilation" step) from
+    the shared physical plan.
     @raise Lq_catalog.Engine_intf.Unsupported for correlated sub-queries —
     run the optimizer's decorrelation first. *)
 

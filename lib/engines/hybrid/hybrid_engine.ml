@@ -63,13 +63,13 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
       (match construction with Min -> "min" | Max -> "max")
       (if buffered then ",buffer" else "")
   in
-  let prepare ?instr cat ~param_types (query : Ast.query) =
+  let prepare ?instr cat ~param_types (plan : Lq_plan.Plan.t) =
     let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
     let start_ms = Profile.now_ms () in
     (* Stage boundaries come from the shared lowering: every known scan of
        the plan is a staged input; the conjuncts sitting on it (already
        cost-ordered) run managed-side. *)
-    let stripped, specs = Split.strip_plan (Lq_plan.Lower.lower cat query) in
+    let stripped, specs = Split.strip_plan plan in
     if specs = [] then unsupported "hybrid backend needs at least one source";
     let cctx = Cexpr.ctx () in
     (* Managed-side sub-queries/whole aggregates: uncorrelated ones are
@@ -104,85 +104,38 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
       | _ -> unsupported "aggregate in a managed filter"
     in
     (* --- Decide construction strategy and per-source staged fields --- *)
-    let rec has_distinct = function
-      | Ast.Distinct _ -> true
-      | Ast.Source _ -> false
-      | q ->
-        let found = ref false in
-        let (_ : Ast.query) =
-          Ast.map_query_children
-            (fun child ->
-              if has_distinct child then found := true;
-              child)
-            q
-        in
-        !found
-    in
-    let sort_min_ok =
-      match specs with
-      | [ spec ] ->
-        Split.result_is_occ_elements stripped ~occ:spec.Split.occ
-        && not (has_distinct stripped)
-      | _ -> false
-    in
-    (* Min over join trees: every node a Join with Record_of results,
-       every leaf a staged source. *)
-    let rec is_join_tree = function
-      | Ast.Source _ -> true
-      | Ast.Join { left; right; result = { Ast.body = Ast.Record_of _; _ }; _ } ->
-        is_join_tree left && is_join_tree right
-      | _ -> false
-    in
-    let join_min_ok =
-      match stripped with Ast.Join _ -> is_join_tree stripped | _ -> false
-    in
     let min_mode =
-      match construction with
-      | Max -> `Max
-      | Min when sort_min_ok -> `Sort_min
-      | Min when join_min_ok -> `Join_min
-      | Min ->
-        unsupported
-          "the Min approach is not possible for this query (results are not \
-           source elements or a plain join of them, §7.4)"
+      match (construction, Lq_plan.Plan.min_construction plan) with
+      | Max, _ -> `Max
+      | Min, Some Lq_plan.Plan.Sort_min -> `Sort_min
+      | Min, Some Lq_plan.Plan.Join_min -> `Join_min
+      | Min, None -> unsupported "%s" Lq_plan.Plan.min_refusal
     in
     let idx_field_of occ = "__idx@" ^ occ in
     (* Generalized Min rewriting over a join tree: every join result is
        replaced by {fields needed by ancestor keys} ∪ {index columns of
        every source below}, so the native side moves only keys and
-       indexes. *)
+       indexes. [Plan.min_construction] has checked that no key or carried
+       field uses a whole element. *)
     let min_join_rewritten =
       match min_mode with
       | `Join_min ->
         let first_components paths =
           List.filter_map (function x :: _ -> Some x | [] -> None) paths
         in
-        let whole_element_use paths = List.mem [] paths in
         let rec go (q : Ast.query) (needed : string list) :
             Ast.query * (string * string) list =
           match q with
           | Ast.Source occ -> (q, [ (occ, index_field) ])
-          | Ast.Join j ->
-            let lv, rv =
-              match j.result.Ast.params with
-              | [ a; b ] -> (a, b)
-              | _ -> unsupported "Min join: result arity"
-            in
-            let fields =
-              match j.result.Ast.body with
-              | Ast.Record_of fs -> fs
-              | _ -> assert false
-            in
+          | Ast.Join
+              ({ result = { Ast.params = [ lv; rv ]; body = Ast.Record_of fields }; _ } as j)
+            ->
             let kept = List.filter (fun (n, _) -> List.mem n needed) fields in
             let kept_exprs = List.map snd kept in
             let side_names var key =
-              let key_paths = Lq_expr.Paths.of_lambda key in
-              let kept_paths =
-                List.concat_map (fun e -> Lq_expr.Paths.of_expr ~var e) kept_exprs
-              in
-              if whole_element_use key_paths || whole_element_use kept_paths then
-                unsupported "Min join: whole-element use in a carried field";
-              first_components key_paths @ first_components kept_paths
+              first_components (Lq_expr.Paths.of_lambda key)
+              @ first_components
+                  (List.concat_map (fun e -> Lq_expr.Paths.of_expr ~var e) kept_exprs)
             in
             let l', l_sides = go j.left (side_names lv j.left_key) in
             let r', r_sides = go j.right (side_names rv j.right_key) in
@@ -197,9 +150,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
             in
             ( Ast.Join { j with left = l'; right = r'; result = result' },
               List.map (fun (occ, _) -> (occ, idx_field_of occ)) (l_sides @ r_sides) )
-          | Ast.Where _ | Ast.Select _ | Ast.Group_by _ | Ast.Order_by _
-          | Ast.Take _ | Ast.Skip _ | Ast.Distinct _ ->
-            unsupported "Min join: non-join operator in the tree"
+          | _ -> Engine_intf.codegen_failed "Min join: not a join tree"
         in
         Some (go stripped [])
       | `Sort_min | `Max -> None
@@ -229,17 +180,9 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
     let rec elem_expr (q : Ast.query) : Ast.expr =
       match q with
       | Ast.Source occ -> Ast.Var (src_var occ)
-      | Ast.Join j ->
-        let lv, rv =
-          match j.result.Ast.params with
-          | [ a; b ] -> (a, b)
-          | _ -> unsupported "Min join: result arity"
-        in
-        inline_members
-          (Ast.subst
-             [ (lv, elem_expr j.left); (rv, elem_expr j.right) ]
-             j.result.Ast.body)
-      | _ -> unsupported "Min join: non-join node"
+      | Ast.Join ({ result = { Ast.params = [ lv; rv ]; body }; _ } as j) ->
+        inline_members (Ast.subst [ (lv, elem_expr j.left); (rv, elem_expr j.right) ] body)
+      | _ -> Engine_intf.codegen_failed "Min join: not a join tree"
     in
     (* Per-spec staged paths (implicit projection). *)
     let staged_paths_of spec =
@@ -581,6 +524,7 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
         Engine_intf.caps_any with
         supports_correlated = false;
         supports_group_no_selector = false;
+        needs_min_construction = construction = Min;
       };
     prepare;
   }

@@ -118,13 +118,13 @@ let engine : Engine_intf.t =
       "baseline: enumerator pipeline over boxed objects, interpreted lambdas";
     caps = Engine_intf.caps_any;
     prepare =
-      (fun ?instr cat ~param_types:_ query ->
+      (fun ?instr cat ~param_types:_ plan ->
         (* Nothing is compiled. As the trivial backend of the shared
            lowering, the plan is round-tripped back to an expression tree
            the enumerator pipeline interprets — the plan's conjunct
            ordering survives as a chain of [Where]s. *)
         let t0 = Lq_metrics.Profile.now_ms () in
-        let lowered = Lq_plan.Plan.to_ast (Lq_plan.Lower.lower cat query) in
+        let lowered = Lq_plan.Plan.to_ast plan in
         let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
         {
           Engine_intf.execute =

@@ -17,14 +17,14 @@ let engine : Engine_intf.t =
         supports_group_no_selector = false;
       };
     prepare =
-      (fun ?instr cat ~param_types query ->
+      (fun ?instr cat ~param_types plan ->
         let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
         let start = Profile.now_ms () in
-        (* Lower once; the interpreted program and the C listing share the
-           same loop IR (and the JIT compiles that listing). *)
-        let plan, source =
+        (* The interpreted program and the C listing share one loop IR
+           (and the JIT compiles that listing). *)
+        let nplan, source =
           try
-            let ir = Loop.lower cat ~params:param_types (Lq_plan.Lower.lower cat query) in
+            let ir = Loop.lower cat ~params:param_types plan in
             (Nplan.compile ?trace ir, Codegen_c.emit_lowered ir)
           with
           | Catalog.Not_flat table ->
@@ -33,5 +33,5 @@ let engine : Engine_intf.t =
           | Lq_expr.Typecheck.Type_error msg -> Engine_intf.unsupported "%s" msg
         in
         let codegen_ms = Profile.now_ms () -. start in
-        { Engine_intf.execute = Nplan.execute plan; codegen_ms; source = Some source });
+        { Engine_intf.execute = Nplan.execute nplan; codegen_ms; source = Some source });
   }

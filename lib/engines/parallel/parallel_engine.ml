@@ -18,89 +18,46 @@ type partition_point =
   | Pipeline of P.t  (** Filter/Project chain over one Scan *)
   | Grouped of P.aggregate  (** aggregation whose input is such a chain *)
 
-(* The remainder is the query with the partition point replaced by this
-   pseudo-source; it runs sequentially over the merged rows. *)
+(* The remainder is the plan with the partition point replaced by a scan
+   of this pseudo-source; it runs sequentially over the merged rows. *)
 let merged_source = "__merged"
 
-let rec is_pipeline (p : P.t) =
+(* The table a Filter/Project chain over one known scan reads. *)
+let rec pipeline_source (p : P.t) =
   match p.P.op with
-  | P.Scan s -> s.P.known
-  | P.Filter (i, _) | P.Project (i, _) -> is_pipeline i
-  | _ -> false
+  | P.Scan s when s.P.known -> Some s.P.table
+  | P.Filter (i, _) | P.Project (i, _) -> pipeline_source i
+  | _ -> None
 
-let rec forbid_constructs (e : Ast.expr) =
-  match e with
-  | Ast.Subquery _ -> unsupported "sub-query (parallel backend)"
-  | Ast.Call ((Ast.Lower | Ast.Upper), _) ->
-    unsupported "runtime string interning (parallel backend)"
-  | Ast.Const _ | Ast.Param _ | Ast.Var _ -> ()
-  | Ast.Member (e, _) | Ast.Unop (_, e) -> forbid_constructs e
-  | Ast.Binop (_, a, b) ->
-    forbid_constructs a;
-    forbid_constructs b
-  | Ast.If (a, b, c) ->
-    forbid_constructs a;
-    forbid_constructs b;
-    forbid_constructs c
-  | Ast.Call (_, args) -> List.iter forbid_constructs args
-  | Ast.Agg (_, src, sel) ->
-    forbid_constructs src;
-    Option.iter (fun (l : Ast.lambda) -> forbid_constructs l.Ast.body) sel
-  | Ast.Record_of fields -> List.iter (fun (_, e) -> forbid_constructs e) fields
+let is_pipeline p = Option.is_some (pipeline_source p)
 
-let check_query q =
-  let check_lambda (l : Ast.lambda) = forbid_constructs l.Ast.body in
-  let rec go (q : Ast.query) =
-    (match q with
-    | Ast.Where (_, l) | Ast.Select (_, l) -> check_lambda l
-    | Ast.Group_by g ->
-      check_lambda g.key;
-      Option.iter check_lambda g.group_result
-    | Ast.Order_by (_, keys) -> List.iter (fun (k : Ast.sort_key) -> check_lambda k.Ast.by) keys
-    | _ -> ());
-    ignore (Ast.map_query_children (fun c -> go c; c) q)
-  in
-  go q
-
-(* Finds the partition point in the lowered plan and rebuilds the
-   remainder of the query around it (as an expression tree the sequential
-   evaluator interprets over the merged rows). *)
+(* Finds the first partition point in pre-order and returns it with the
+   remainder, printed as the expression tree the sequential evaluator
+   interprets over the merged rows. *)
 let split (plan : P.t) : partition_point * Ast.query =
   let found = ref None in
-  let rec go (p : P.t) : Ast.query =
-    match p.P.op with
-    | P.Aggregate ({ P.group_result = Some _; _ } as a)
-      when !found = None && is_pipeline a.P.input ->
-      found := Some (Grouped a);
-      Ast.Source merged_source
-    | _ when !found = None && is_pipeline p ->
-      found := Some (Pipeline p);
-      Ast.Source merged_source
-    | P.Scan s -> Ast.Source s.P.table
-    | P.Filter (i, preds) ->
-      List.fold_left (fun q (pr : P.pred) -> Ast.Where (q, pr.P.lambda)) (go i) preds
-    | P.Project (i, sel) -> Ast.Select (go i, sel)
-    | P.Join j ->
-      Ast.Join
-        {
-          Ast.left = go j.P.left;
-          right = go j.P.right;
-          left_key = j.P.left_key;
-          right_key = j.P.right_key;
-          result = j.P.result;
-        }
-    | P.Aggregate a ->
-      Ast.Group_by
-        { Ast.group_source = go a.P.input; key = a.P.key; group_result = a.P.group_result }
-    | P.Sort (i, ks) -> Ast.Order_by (go i, ks)
-    | P.Top_k { input; keys; limit } -> Ast.Take (Ast.Order_by (go input, keys), limit)
-    | P.Limit (i, n) -> Ast.Take (go i, n)
-    | P.Offset (i, n) -> Ast.Skip (go i, n)
-    | P.Distinct i -> Ast.Distinct (go i)
+  let merged =
+    P.Scan
+      { P.table = merged_source; occ = merged_source; known = false; flat = true; fields = None; storage = P.Row }
+  in
+  let rec go (p : P.t) : P.t =
+    let point =
+      match p.P.op with
+      | _ when !found <> None -> None
+      | P.Aggregate ({ P.group_result = Some _; _ } as a) when is_pipeline a.P.input ->
+        Some (Grouped a)
+      | _ when is_pipeline p -> Some (Pipeline p)
+      | _ -> None
+    in
+    match point with
+    | Some _ ->
+      found := point;
+      { p with P.op = merged }
+    | None -> P.map_children go p
   in
   let remainder = go plan in
   match !found with
-  | Some point -> (point, remainder)
+  | Some point -> (point, P.to_ast remainder)
   | None -> unsupported "no parallelizable pipeline found"
 
 (* ------------------------------------------------------------------ *)
@@ -160,14 +117,12 @@ let decompose (a : P.aggregate) gvar (body : Ast.expr) =
   let merged_body = rewrite body in
   (!partials, merged_body)
 
-let partial_agg i (p : partial) : string * Ast.expr =
-  let g = Ast.Var "__g" in
-  ( partial_name i,
-    match p with
-    | P_sum sel -> Ast.Agg (Ast.Sum, g, sel)
-    | P_count -> Ast.Agg (Ast.Count, g, None)
-    | P_min sel -> Ast.Agg (Ast.Min, g, sel)
-    | P_max sel -> Ast.Agg (Ast.Max, g, sel) )
+let partial_spec (p : partial) : P.agg_spec =
+  match p with
+  | P_sum sel -> { P.agg = Ast.Sum; sel }
+  | P_count -> { P.agg = Ast.Count; sel = None }
+  | P_min sel -> { P.agg = Ast.Min; sel }
+  | P_max sel -> { P.agg = Ast.Max; sel }
 
 let combine (p : partial) a b =
   match p with
@@ -177,15 +132,6 @@ let combine (p : partial) a b =
   | P_max _ -> if Scalar.cmp a b >= 0 then a else b
 
 (* ------------------------------------------------------------------ *)
-
-let source_of_pipeline q =
-  let rec go = function
-    | Ast.Source name -> name
-    | Ast.Where (src, _) | Ast.Select (src, _) -> go src
-    | Ast.Group_by { group_source; _ } -> go group_source
-    | _ -> assert false
-  in
-  go q
 
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
@@ -223,18 +169,15 @@ let morsel_size () =
   | None -> default_morsel_size
 
 let make ?name ~domains () : Engine_intf.t =
-  let prepare ?instr cat ~param_types (query : Ast.query) =
+  let prepare ?instr cat ~param_types (plan : P.t) =
     ignore instr;
     let start = Lq_metrics.Profile.now_ms () in
-    check_query query;
-    if List.length (Ast.sources_of_query query) <> 1 then
-      unsupported "multiple sources (parallel backend)";
-    let point, remainder = split (Lq_plan.Lower.lower cat query) in
-    (* The per-domain query: the pipeline, grouped with partial
+    let point, remainder = split plan in
+    (* The per-domain plan: the pipeline, grouped with partial
        accumulators when the partition point is an aggregation. *)
     let pipeline, merge_kind =
       match point with
-      | Pipeline p -> (P.to_ast p, `Concat)
+      | Pipeline p -> (p, `Concat)
       | Grouped a ->
         let key = a.P.key in
         let result =
@@ -246,7 +189,12 @@ let make ?name ~domains () : Engine_intf.t =
           | _ -> unsupported "group result arity (parallel)"
         in
         let partials, merged_body = decompose a gvar result.Ast.body in
-        let partial_fields = List.mapi partial_agg partials in
+        let specs = List.map partial_spec partials in
+        let partial_fields =
+          List.mapi
+            (fun i (s : P.agg_spec) -> (partial_name i, Ast.Agg (s.P.agg, Ast.Var "__g", s.P.sel)))
+            specs
+        in
         (* Composite keys are flattened into one partial column per part;
            the merge phase reassembles the key record. *)
         let gkey = Ast.Member (Ast.Var "__g", Ast.group_key_field) in
@@ -264,23 +212,37 @@ let make ?name ~domains () : Engine_intf.t =
         let partial_selector =
           Ast.lam [ "__g" ] (Ast.Record_of (key_fields @ partial_fields))
         in
-        ( Ast.Group_by
-            { group_source = P.to_ast a.P.input; key; group_result = Some partial_selector },
+        (* The registry is the partial list in order: one accumulator per
+           partial field, and no group needs its items. *)
+        ( {
+            P.op =
+              P.Aggregate
+                {
+                  a with
+                  P.group_result = Some partial_selector;
+                  aggs = specs;
+                  occ_slots = List.init (List.length specs) Fun.id;
+                  fused = true;
+                  keep_items = false;
+                };
+            rows = a.P.input.P.rows;
+          },
           `Merge_groups (partials, merged_body, gvar, rebuild_key) )
     in
-    let source_name = source_of_pipeline pipeline in
+    let source_name =
+      Option.get (pipeline_source (match point with Pipeline p -> p | Grouped a -> a.P.input))
+    in
     let store = Catalog.store (Catalog.table cat source_name) in
     let nrows = Rowstore.length store in
     let workers = max 1 (min domains (max 1 nrows)) in
-    (* The pipeline is lowered and typed once; each worker Domain gets its
-       own compiled plan (closures own their cursors), scanning whatever
-       row range its mutable cell holds when it executes: each pulled
-       work unit re-aims the cell. *)
+    (* The pipeline is lowered to loops and typed once; each worker Domain
+       gets its own compiled plan (closures own their cursors), scanning
+       whatever row range its mutable cell holds when it executes: each
+       pulled work unit re-aims the cell. *)
     let ir =
       Lq_native.Loop.lower
         ~staged:(fun name -> if String.equal name source_name then Some store else None)
-        cat ~params:param_types
-        (Lq_plan.Lower.lower cat pipeline)
+        cat ~params:param_types pipeline
     in
     let wplans =
       List.init workers (fun _ ->

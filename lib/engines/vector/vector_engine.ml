@@ -815,17 +815,8 @@ let engine : Engine_intf.t =
         supports_group_no_selector = false;
       };
     prepare =
-      (fun ?instr cat ~param_types:_ query ->
-        (try
-           List.iter
-             (fun s ->
-               if Catalog.mem cat s then
-                 ignore (Catalog.cols (Catalog.table cat s) : Colstore.t))
-             (Ast.sources_of_query query)
-         with Catalog.Not_flat t -> unsupported "relation %S is not flat" t);
-        let t0 = Lq_metrics.Profile.now_ms () in
-        let plan = Lq_plan.Lower.lower cat query in
-        let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
+      (fun ?instr cat ~param_types:_ plan ->
+        (* Interpreted over the shared plan: nothing is generated. *)
         {
           Engine_intf.execute =
             (fun ~params () ->
@@ -836,7 +827,7 @@ let engine : Engine_intf.t =
                 { dict = Catalog.dict cat; params; eval_ctx = Catalog.eval_ctx cat ~params }
               in
               box_dataset vc (run vc cat plan));
-          codegen_ms;
+          codegen_ms = 0.0;
           source = None;
         });
   }

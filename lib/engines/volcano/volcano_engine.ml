@@ -291,20 +291,9 @@ let engine : Engine_intf.t =
     describe = "Volcano stand-in: interpreted open/next/close over the row store";
     caps = { Engine_intf.caps_any with needs_flat_sources = true };
     prepare =
-      (fun ?instr cat ~param_types:_ query ->
-        (* Interpreted engines generate no code: lowering to the shared
-           plan is the whole of their preparation. *)
-        (try
-           List.iter
-             (fun s ->
-               if Catalog.mem cat s then
-                 ignore (Catalog.store (Catalog.table cat s) : Rowstore.t))
-             (Ast.sources_of_query query)
-         with Catalog.Not_flat t ->
-           Engine_intf.unsupported "relation %S is not flat" t);
-        let t0 = Lq_metrics.Profile.now_ms () in
-        let plan = Lq_plan.Lower.lower cat query in
-        let codegen_ms = Lq_metrics.Profile.now_ms () -. t0 in
+      (fun ?instr cat ~param_types:_ plan ->
+        (* Interpreted engines generate no code: the shared plan is
+           their program. *)
         {
           Engine_intf.execute =
             (fun ~params () ->
@@ -322,7 +311,7 @@ let engine : Engine_intf.t =
               loop ();
               root.close ();
               List.rev !acc);
-          codegen_ms;
+          codegen_ms = 0.0;
           source = None;
         });
   }

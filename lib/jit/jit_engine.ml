@@ -246,12 +246,12 @@ let engine : Engine_intf.t =
         supports_group_no_selector = false;
       };
     prepare =
-      (fun ?instr cat ~param_types query ->
+      (fun ?instr cat ~param_types plan ->
         let trace = Option.map (fun (i : Lq_catalog.Instr.t) -> i.Lq_catalog.Instr.trace) instr in
         let start = Profile.now_ms () in
         let ir, nplan =
           try
-            let ir = Loop.lower cat ~params:param_types (Lq_plan.Lower.lower cat query) in
+            let ir = Loop.lower cat ~params:param_types plan in
             (ir, Nplan.compile ?trace ir)
           with
           | Catalog.Not_flat table ->

@@ -1,89 +1,15 @@
 (* The shared physical-operator IR. One lowering pass (see [Lower])
-   produces this tree from [Lq_expr.Ast.query]; every engine compiles or
-   interprets it instead of re-walking the AST. Scalar work stays in the
+   produces this tree from [Lq_expr.Ast.query], and every engine prepares
+   from it instead of re-walking the AST. Scalar work stays in the
    embedded lambdas — the plan fixes the operator skeleton, the analyses
    (predicate order, join strategy, aggregate registry, top-K fusion,
-   implicit projections, staging occurrences) and the cost annotations. *)
+   implicit projections, staging occurrences) and the cost annotations.
+   The types live beside the engine contract ([Lq_catalog.Plan_ir]). *)
 
+include Lq_catalog.Plan_ir
 module Ast = Lq_expr.Ast
 module Pretty = Lq_expr.Pretty
 module Engine_intf = Lq_catalog.Engine_intf
-
-type pred = {
-  lambda : Ast.lambda;  (** single conjunct *)
-  cost : float;  (** [Rewrite.predicate_cost] of the body *)
-}
-
-type agg_spec = {
-  agg : Ast.agg;
-  sel : Ast.lambda option;  (** element selector; [None] counts elements *)
-}
-
-type storage =
-  | Row  (** fixed-width array-of-structs rowstore scan *)
-  | Column of (string * string) list
-      (** encoded columnar scan; the [(field, encoding)] pairs cover the
-          demanded fields, filled from catalog stats by the lowering
-          annotate pass (encodings: plain / dict8 / dict16 / rle) *)
-
-type scan = {
-  table : string;
-  occ : string;
-      (** unique occurrence name ["table#N"], numbered in pre-order — the
-          hybrid engine's stage identities (formerly [Split]) *)
-  known : bool;  (** resolved in the catalog (occurrence renames are not) *)
-  flat : bool;  (** array-of-structs representation (§5) *)
-  fields : string list option;
-      (** implicit projection: root fields of the element the rest of the
-          plan reads; [None] when the whole element is needed *)
-  storage : storage;
-      (** per-scan backend choice, recorded once here so all engines see
-          one decision; rendered by [explain] but not by [shape_key] *)
-}
-
-type t = {
-  op : op;
-  rows : float;  (** cardinality estimate (heuristic, catalog-seeded) *)
-}
-
-and op =
-  | Scan of scan
-  | Filter of t * pred list  (** conjuncts, cheapest first *)
-  | Project of t * Ast.lambda
-  | Join of join
-  | Aggregate of aggregate
-  | Sort of t * Ast.sort_key list
-  | Top_k of {
-      input : t;
-      keys : Ast.sort_key list;
-      limit : Ast.expr;
-    }  (** fused [OrderBy]+[Take]: bounded heap *)
-  | Limit of t * Ast.expr
-  | Offset of t * Ast.expr
-  | Distinct of t
-
-and join = {
-  left : t;
-  right : t;
-  left_key : Ast.lambda;
-  right_key : Ast.lambda;
-  result : Ast.lambda;
-  strategy : [ `Hash | `Nested_loop ];
-}
-
-and aggregate = {
-  input : t;
-  key : Ast.lambda;
-  group_result : Ast.lambda option;  (** [None]: emit the group values *)
-  aggs : agg_spec list;
-      (** the accumulator registry: fused, duplicate-eliminated aggregates
-          over the group variable, in first-occurrence order *)
-  occ_slots : int list;
-      (** accumulator index for each group-variable [Agg] occurrence of the
-          result body, in pre-order *)
-  fused : bool;  (** false: registry empty, engines re-walk item lists *)
-  keep_items : bool;  (** group element lists must be materialized *)
-}
 
 let children (p : t) =
   match p.op with
@@ -94,6 +20,25 @@ let children (p : t) =
   | Top_k { input; _ } -> [ input ]
   | Aggregate a -> [ a.input ]
   | Join j -> [ j.left; j.right ]
+
+(* The plan with [f] applied to each child, left before right. *)
+let map_children f (p : t) =
+  let op =
+    match p.op with
+    | Scan _ -> p.op
+    | Filter (i, preds) -> Filter (f i, preds)
+    | Project (i, sel) -> Project (f i, sel)
+    | Join j ->
+      let left = f j.left in
+      Join { j with left; right = f j.right }
+    | Aggregate a -> Aggregate { a with input = f a.input }
+    | Sort (i, keys) -> Sort (f i, keys)
+    | Top_k t -> Top_k { t with input = f t.input }
+    | Limit (i, n) -> Limit (f i, n)
+    | Offset (i, n) -> Offset (f i, n)
+    | Distinct i -> Distinct (f i)
+  in
+  { p with op }
 
 (* --- round-trip to the AST (the trivial backend) ------------------- *)
 
@@ -174,6 +119,58 @@ module Registry = struct
     idx
 end
 
+(* --- the Min construction rule (§7.4) -------------------------------- *)
+
+type min_construction =
+  | Sort_min  (** results are the one staged source's own elements *)
+  | Join_min  (** results are built by a tree of joins over staged sources *)
+
+(* What [Staging.strip_plan] turns into a staged input: a known scan, with
+   the conjuncts sitting directly on it. *)
+let is_stage_leaf (p : t) =
+  match p.op with
+  | Scan s | Filter ({ op = Scan s; _ }, _) -> s.known
+  | _ -> false
+
+(* Whether the hybrid's Min variant can run the plan, which stages only
+   keys and an index column and looks the source objects up again to
+   build results — "not possible for complex queries" (§7.4). *)
+let min_construction (p : t) : min_construction option =
+  (* Sort-style: the one staged source's elements, filtered, ordered or
+     cut, reach the result (no [Distinct]: it hashes whole elements). *)
+  let rec source_elements (p : t) =
+    is_stage_leaf p
+    ||
+    match p.op with
+    | Filter (i, _) | Sort (i, _) | Top_k { input = i; _ } | Limit (i, _) | Offset (i, _) ->
+      source_elements i
+    | _ -> false
+  in
+  (* Join-style: joins building records over staged leaves, where no key
+     and no field an ancestor reads uses a whole element, so only keys and
+     index columns cross to the native side. [needed] are the fields of
+     this join's result that its ancestors read. *)
+  let rec join_tree needed (p : t) =
+    is_stage_leaf p
+    ||
+    match p.op with
+    | Join ({ result = { Ast.params = [ lv; rv ]; body = Ast.Record_of fields }; _ } as j) -> (
+      let kept = List.filter_map (fun (n, e) -> if List.mem n needed then Some e else None) fields in
+      let side var (key : Ast.lambda) =
+        let key_paths =
+          match key.Ast.params with [ k ] -> Lq_expr.Paths.of_expr ~var:k key.Ast.body | _ -> [ [] ]
+        in
+        let paths = key_paths @ List.concat_map (Lq_expr.Paths.of_expr ~var) kept in
+        if List.mem [] paths then None else Some (List.map List.hd paths)
+      in
+      match (side lv j.left_key, side rv j.right_key) with
+      | Some lneeded, Some rneeded -> join_tree lneeded j.left && join_tree rneeded j.right
+      | _ -> false)
+    | _ -> false
+  in
+  if source_elements p then Some Sort_min
+  else match p.op with Join _ when join_tree [] p -> Some Join_min | _ -> None
+
 (* --- feature extraction and the capability check -------------------- *)
 
 type features = {
@@ -184,6 +181,7 @@ type features = {
   interning : bool;
   sources : int;
   nonflat_source : bool;
+  min_construction : min_construction option;
 }
 
 let features (p : t) : features =
@@ -268,7 +266,12 @@ let features (p : t) : features =
     interning = !interning;
     sources = !sources;
     nonflat_source = !nonflat_source;
+    min_construction = min_construction p;
   }
+
+let min_refusal =
+  "the Min approach is not possible for this query (results are not source \
+   elements or a plain join of them, §7.4)"
 
 let check (caps : Engine_intf.caps) (f : features) : (unit, string) result =
   if f.correlated && not caps.Engine_intf.supports_correlated then
@@ -283,6 +286,8 @@ let check (caps : Engine_intf.caps) (f : features) : (unit, string) result =
     Error "string-producing call (engine cannot intern derived strings)"
   else if f.nonflat_source && caps.Engine_intf.needs_flat_sources then
     Error "nested source (engine requires flat array-of-structs tables)"
+  else if f.min_construction = None && caps.Engine_intf.needs_min_construction then
+    Error min_refusal
   else
     match caps.Engine_intf.max_sources with
     | Some m when f.sources > m ->

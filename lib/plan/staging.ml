@@ -22,21 +22,7 @@ let strip_plan (p : Plan.t) : Ast.query * staged_spec list =
     | Plan.Scan s when s.Plan.known -> { p with Plan.op = stage s [] }
     | Plan.Filter ({ Plan.op = Plan.Scan s; _ }, preds) when s.Plan.known ->
       { p with Plan.op = stage s (List.map (fun pr -> pr.Plan.lambda) preds) }
-    | Plan.Scan _ -> p
-    | Plan.Filter (i, preds) -> { p with Plan.op = Plan.Filter (go i, preds) }
-    | Plan.Project (i, sel) -> { p with Plan.op = Plan.Project (go i, sel) }
-    | Plan.Join j ->
-      let left = go j.Plan.left in
-      let right = go j.Plan.right in
-      { p with Plan.op = Plan.Join { j with Plan.left = left; right } }
-    | Plan.Aggregate a ->
-      { p with Plan.op = Plan.Aggregate { a with Plan.input = go a.Plan.input } }
-    | Plan.Sort (i, keys) -> { p with Plan.op = Plan.Sort (go i, keys) }
-    | Plan.Top_k { input; keys; limit } ->
-      { p with Plan.op = Plan.Top_k { input = go input; keys; limit } }
-    | Plan.Limit (i, n) -> { p with Plan.op = Plan.Limit (go i, n) }
-    | Plan.Offset (i, n) -> { p with Plan.op = Plan.Offset (go i, n) }
-    | Plan.Distinct i -> { p with Plan.op = Plan.Distinct (go i) }
+    | _ -> Plan.map_children go p
   in
   let stripped = go p in
   (Plan.to_ast stripped, List.rev !specs)
@@ -127,9 +113,6 @@ let used_paths (q : Ast.query) ~occ =
   in
   if producer then add [];
   List.rev !acc
-
-let result_is_occ_elements (q : Ast.query) ~occ =
-  track ~occ ~on_elem_var:(fun _ _ -> ()) q
 
 (* Member-chain rewriting inside lambdas bound to occ elements. *)
 let rec chain_root acc (e : Ast.expr) =

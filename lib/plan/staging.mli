@@ -34,11 +34,6 @@ val used_paths : Ast.query -> occ:string -> string list list
     stripped) query dereferences — the implicit projection. The empty path
     means whole elements are needed (they appear in the result). *)
 
-val result_is_occ_elements : Ast.query -> occ:string -> bool
-(** Whether the query's result elements are exactly [occ]'s (possibly
-    filtered/reordered) elements — the precondition for the Min variant on
-    sort-style queries. *)
-
 val rewrite_paths :
   Ast.query -> occ:string -> rename:(string list -> string) -> Ast.query
 (** Rewrites member chains on [occ]-element variables to flat staged field

@@ -371,10 +371,10 @@ let param_types ?(params = []) cat q =
   let prov = Lq_core.Provider.create ~use_cache:false cat in
   Lq_core.Provider.param_types prov (Lq_core.Provider.front_end prov ~params q)
 
-(* An engine's plan prepared outside the provider. *)
+(* An engine's plan prepared outside the provider, from [q]'s lowering. *)
 let prepare ?instr ?params cat (engine : Lq_catalog.Engine_intf.t) q =
-  engine.prepare ?instr cat ~param_types:(param_types ?params cat q) q
+  engine.prepare ?instr cat ~param_types:(param_types ?params cat q) (Lq_plan.Lower.lower cat q)
 
-let qtest ?print ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest
+let qtest ?print ?(count = 100) ?rand name gen prop =
+  QCheck_alcotest.to_alcotest ?rand
     (QCheck2.Test.make ?print ~name ~count gen prop)

@@ -19,10 +19,14 @@ let params = Queries.extended_params
 let lineitem_rows = Lq_catalog.Catalog.row_count (Lq_catalog.Catalog.table cat "lineitem")
 
 (* Words allocated on this Domain: minor plus direct-major (major words
-   that were not promoted out of the minor heap). *)
+   that were not promoted out of the minor heap). The minor count is
+   [Gc.minor_words]: in OCaml 5.1 [Gc.counters] counts the minor heap's
+   words only at each minor collection, so a collection inside the
+   measured window would charge it with everything allocated since the
+   previous one. *)
 let words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. (major -. promoted)
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
 
 (* Per-execution words of a warm plan, averaged over [reps] executions. *)
 let per_execution (prepared : Engine_intf.prepared) ~params ~reps =
@@ -48,7 +52,7 @@ let guard name query () =
   let prepared =
     Lq_core.Engines.compiled_c.Engine_intf.prepare cat
       ~param_types:(Lq_core.Provider.param_types prov front)
-      front.Lq_core.Provider.parameterized
+      front.Lq_core.Provider.plan
   in
   let w, rows = per_execution prepared ~params:(front.Lq_core.Provider.bindings @ params) ~reps:5 in
   Printf.printf "%s %.1f words, %d rows\n" name w rows;

@@ -162,7 +162,7 @@ let test_prepared_reuse () =
 (* --- codegen options (the §2.3 ablations) --- *)
 
 let ablation_engines =
-  let open Lq_compiled.Options in
+  let open Lq_plan.Options in
   [
     Lq_compiled.Csharp_engine.engine_with naive;
     Lq_compiled.Csharp_engine.engine_with { default with fuse_aggregates = false };
@@ -178,7 +178,7 @@ let prop_ablations =
 (* --- fusion actually fuses --- *)
 
 let test_loop_segments () =
-  let plan q = Lq_compiled.Plan.compile cat q in
+  let plan q = Lq_compiled.Plan.compile cat (Lq_plan.Lower.lower cat q) in
   check_int "scan+filter+project is one segment" 1
     (Lq_compiled.Plan.loop_segments
        (plan (source "sales" |> where "s" (v "s" $. "vip") |> select "s" (v "s" $. "id"))));

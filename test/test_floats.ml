@@ -287,7 +287,7 @@ let test_literals () =
       let prepared =
         Engines.compiled_c.Engine_intf.prepare cat
           ~param_types:(Provider.param_types prov front)
-          front.Provider.optimized
+          (Lq_plan.Lower.lower cat front.Provider.optimized)
       in
       check (qname ^ " with literals") expected (prepared.Engine_intf.execute ~params ()))
     corpus

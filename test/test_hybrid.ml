@@ -79,8 +79,8 @@ let test_used_paths_group_and_sort () =
   let stripped2, specs2 = split cat q2 in
   check_bool "sort result needs whole elements" true
     (List.mem [] (Split.used_paths stripped2 ~occ:(List.hd specs2).Split.occ));
-  check_bool "result_is_occ_elements" true
-    (Split.result_is_occ_elements stripped2 ~occ:(List.hd specs2).Split.occ)
+  check_bool "results are the source's elements (sort-style Min)" true
+    (Lq_plan.Plan.min_construction (Lq_plan.Lower.lower cat q2) = Some Lq_plan.Plan.Sort_min)
 
 let test_rewrite_paths () =
   let q =

@@ -187,8 +187,7 @@ let test_key_ignores_unreferenced () =
 let test_typings_agree () =
   let program param_types (front : Provider.front_end) =
     match
-      Lq_native.Loop.lower cat ~params:param_types
-        (Lq_plan.Lower.lower cat front.Provider.parameterized)
+      Lq_native.Loop.lower cat ~params:param_types front.Provider.plan
     with
     | exception Engine_intf.Unsupported msg -> "unsupported: " ^ msg
     | ir -> (

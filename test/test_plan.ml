@@ -2,7 +2,8 @@
    extended TPC-H query from the same physical plan and must agree with
    the reference oracle — a typed capability refusal is an acceptable
    skip, a wrong answer or an untyped crash is not. Plus: the capability
-   verdict is conservative (a predicted refusal really refuses), explain
+   verdict holds both ways (a predicted refusal really refuses, and a
+   passed check is not refused at prepare), explain
    renders for every query x engine, and the plan shape-key is stable
    under parameter rebinding (the query-cache key invariant). *)
 
@@ -64,9 +65,41 @@ let differential_case (qname, q) =
               true
               (Lq_testkit.rows_close expected got)
           | exception Engine_intf.Unsupported _ ->
-            (* Typed skip; any other exception fails the test. *)
-            ())
+            (* Typed skip; any other exception fails the test. A check
+               that passed is a promise: only a refused verdict may end
+               here. *)
+            check_bool
+              (Printf.sprintf "%s/%s: a refusal was declared" qname engine.name)
+              true (Result.is_error verdict))
         engines)
+
+(* --- a passed capability check is a promise ------------------------ *)
+
+(* Over random queries of the three generators, every engine either
+   refuses a query by its declared capabilities or prepares it: prepare
+   never refuses what the check passed. The JIT is off, so the native
+   engines prepare without a compiler. *)
+let promise_holds q =
+  let prov = Lq_core.Provider.create ~use_cache:false test_cat in
+  List.for_all
+    (fun (engine : Engine_intf.t) ->
+      match Lq_core.Provider.plan_check prov ~engine q with
+      | Error _ -> true
+      | Ok () -> (
+        match Lq_core.Provider.prepare_only prov ~engine q with
+        | _ -> true
+        | exception Engine_intf.Unsupported msg ->
+          QCheck2.Test.fail_reportf "%s: the check passed, prepare refused: %s" engine.name
+            msg))
+    engines
+
+let prop_promise name gen to_query =
+  Lq_testkit.qtest ~count:50 ~rand:(Random.State.make [| 11 |])
+    ("check passed => prepare accepts: " ^ name)
+    gen
+    (fun sample ->
+      Unix.putenv "LQ_JIT" "off";
+      promise_holds (to_query sample))
 
 (* --- explain: renders or refuses with a reason, never crashes ------- *)
 
@@ -333,6 +366,12 @@ let () =
           Alcotest.test_case "lowering annotations" `Quick test_lowering_annotations;
           Alcotest.test_case "storage routing" `Quick test_explain_storage;
           Alcotest.test_case "decorrelation routing" `Quick test_explain_decorrelated;
+        ] );
+      ( "capability promise",
+        [
+          prop_promise "plain" Lq_testkit.gen_query Fun.id;
+          prop_promise "parameterized" Lq_testkit.gen_query_with_params fst;
+          prop_promise "correlated" Lq_testkit.gen_correlated_query fst;
         ] );
       ( "shape key",
         [

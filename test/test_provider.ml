@@ -188,6 +188,37 @@ let test_instrumented_runs () =
   check_bool "baseline models reads" true (reads_linq > 0);
   check_bool "native models reads" true (reads_c > 0)
 
+(* --- the catalog does not own its providers --- *)
+
+(* Every provider subscribes to its catalog's invalidation hooks, and a
+   discarded provider's finaliser unsubscribes it: a thousand discarded
+   providers, each with a compiled plan and a recycled result, leave no
+   live words behind, while a live provider's hook still fires. *)
+let test_discarded_providers_are_freed () =
+  let cat = Lq_testkit.sales_catalog () in
+  let q = q_with_const 3 in
+  let run prov = ignore (Provider.run prov ~engine:Lq_core.Engines.compiled_c q : Lq_value.Value.t list) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  run (Provider.create ~recycle_results:true cat);
+  let before = live_words () in
+  for _ = 1 to 1000 do
+    run (Provider.create ~recycle_results:true cat)
+  done;
+  let grown = live_words () - before in
+  check_bool (Printf.sprintf "1000 providers kept %d live words (< 1 Mw)" grown) true
+    (grown < 1_000_000);
+  let prov = Provider.create ~recycle_results:true cat in
+  run prov;
+  Lq_catalog.Catalog.replace cat ~name:"sales" ~schema:Lq_testkit.sales_schema
+    (Lq_testkit.sales_rows ());
+  check_int "a live provider's hook fired" 1
+    (match Provider.result_cache_stats prov with
+    | Some s -> s.Lq_core.Result_cache.invalidations
+    | None -> 0)
+
 let () =
   Alcotest.run "provider"
     [
@@ -209,4 +240,6 @@ let () =
         ] );
       ("codegen", [ Alcotest.test_case "cost + listings" `Quick test_codegen_cost_reported ]);
       ("instrumented", [ Alcotest.test_case "cache-simulated runs" `Quick test_instrumented_runs ]);
+      ( "lifetime",
+        [ Alcotest.test_case "discarded providers are freed" `Quick test_discarded_providers_are_freed ] );
     ]
